@@ -1,7 +1,7 @@
 //! `ext_hostperf`: host-side performance of the simulator and the
 //! deterministic worker pool — the artifact behind the runtime overhaul.
 //!
-//! Three measurements:
+//! Two measurements:
 //!
 //! 1. **Sweep scaling.** Wall-clock of a dataset × dimension × GPU-count
 //!    simulation sweep at 1/2/4/8 threads (best of `RUNS_PER_THREADS`
@@ -21,8 +21,6 @@
 //!    for ROADMAP open item 1. The profiled run's digest is reported
 //!    separately and must equal the unprofiled one: profiling is
 //!    bit-identity-preserving by contract.
-//! 3. **Event-loop throughput.** Events/sec through the calendar queue
-//!    (deterministic push/pop stream), the simulator's single hottest path.
 //!
 //! Wall-clock numbers are hardware-dependent and reported for trend
 //! tracking only; correctness signals (digests) are the stable part.
@@ -31,7 +29,7 @@ use mgg_core::{MggConfig, MggEngine};
 use mgg_gnn::reference::AggregateMode;
 use mgg_graph::datasets::Dataset;
 use mgg_runtime::profile::{OverheadBreakdown, RuntimeProfile};
-use mgg_sim::{ClusterSpec, EventQueue};
+use mgg_sim::ClusterSpec;
 use serde::Serialize;
 
 use crate::experiments::common::datasets;
@@ -92,10 +90,6 @@ pub struct HostPerfReport {
     /// True iff every thread count produced bit-identical sweep results,
     /// profiled runs included.
     pub digests_match: bool,
-    /// Calendar-queue throughput on the synthetic event stream.
-    pub event_loop_events_per_sec: f64,
-    /// Event loop events.
-    pub event_loop_events: u64,
 }
 
 fn fnv1a(values: &[u64]) -> String {
@@ -158,41 +152,6 @@ fn run_sweep_profiled(ds: &[Dataset], threads: usize) -> (u64, Vec<u64>, Runtime
     (wall_ns, lats, profile)
 }
 
-/// Deterministic push/pop stream through the calendar queue, measuring raw
-/// event-loop throughput. Mirrors the simulator's access pattern: bursts of
-/// near-future events with occasional far-future stragglers.
-fn event_loop_throughput() -> (u64, f64) {
-    const N: u64 = 2_000_000;
-    let mut q: EventQueue<u64> = EventQueue::new();
-    let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut next_rand = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut processed: u64 = 0;
-    let mut sink: u64 = 0;
-    let start = std::time::Instant::now();
-    // Seed a burst, then steady-state pop-2-push-1 until drained.
-    for i in 0..64 {
-        q.push(i, i);
-    }
-    while let Some((now, v)) = q.pop() {
-        sink = sink.wrapping_add(v);
-        processed += 1;
-        if processed < N {
-            let r = next_rand();
-            // 1/32 of events are far-future stragglers (bucket-lap path).
-            let delta = if r % 32 == 0 { 50_000 + r % 100_000 } else { 1 + r % 700 };
-            q.push(now + delta, r);
-        }
-    }
-    let secs = start.elapsed().as_secs_f64();
-    std::hint::black_box(sink);
-    (processed, processed as f64 / secs.max(1e-9))
-}
-
 /// Runs the host-performance benchmark.
 pub fn run(scale: f64) -> HostPerfReport {
     let ds = datasets(scale);
@@ -235,16 +194,12 @@ pub fn run(scale: f64) -> HostPerfReport {
         .iter()
         .all(|r| r.digest == rows[0].digest && r.digest_profiled == rows[0].digest);
 
-    let (event_loop_events, event_loop_events_per_sec) = event_loop_throughput();
-
     HostPerfReport {
         sweep_cells: cell_names.len(),
         cells: cell_names,
         runs_per_thread_count: RUNS_PER_THREADS,
         rows,
         digests_match,
-        event_loop_events_per_sec,
-        event_loop_events,
     }
 }
 
@@ -287,11 +242,6 @@ impl ExperimentReport for HostPerfReport {
             self.sweep_cells,
             self.runs_per_thread_count,
             if self.digests_match { "IDENTICAL" } else { "DIVERGED" }
-        );
-        println!(
-            "event loop: {:.1}M events/sec over {} events (calendar queue)",
-            self.event_loop_events_per_sec / 1e6,
-            self.event_loop_events
         );
     }
 }
@@ -351,13 +301,5 @@ mod tests {
             // The named categories tile the non-exec lane time.
             assert!(b.attributed_fraction >= 0.9, "attributed {}", b.attributed_fraction);
         }
-    }
-
-    #[test]
-    fn event_loop_processes_full_stream() {
-        let (events, eps) = event_loop_throughput();
-        // 64 seed events plus one push per pop while under the N budget.
-        assert_eq!(events, 2_000_000 + 63);
-        assert!(eps > 0.0);
     }
 }

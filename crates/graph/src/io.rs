@@ -131,6 +131,11 @@ mod tests {
 /// Magic bytes of the binary CSR format.
 const CSR_MAGIC: &[u8; 8] = b"MGGCSR1\0";
 
+/// Most array entries reserved up front from an unverified header; past
+/// this the arrays grow only as bytes actually arrive, so a header that
+/// lies about its sizes ends in an EOF error instead of a huge allocation.
+const CSR_RESERVE_CAP: usize = 1 << 16;
+
 /// Writes the graph in a compact binary CSR format (little-endian):
 /// magic, node count, edge count, row pointers, column indices.
 pub fn write_csr_binary<W: Write>(graph: &CsrGraph, writer: W) -> Result<(), IoError> {
@@ -166,13 +171,13 @@ pub fn read_csr_binary<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
     if n > (1 << 33) || m > (1 << 40) {
         return Err(bad("header sizes out of range"));
     }
-    let mut row_ptr = Vec::with_capacity(n + 1);
+    let mut row_ptr = Vec::with_capacity((n + 1).min(CSR_RESERVE_CAP));
     for _ in 0..=n {
         br.read_exact(&mut u64buf)?;
         row_ptr.push(u64::from_le_bytes(u64buf));
     }
     let mut u32buf = [0u8; 4];
-    let mut col_idx = Vec::with_capacity(m);
+    let mut col_idx = Vec::with_capacity(m.min(CSR_RESERVE_CAP));
     for _ in 0..m {
         br.read_exact(&mut u32buf)?;
         col_idx.push(NodeId::from_le_bytes(u32buf));
@@ -225,6 +230,33 @@ mod binary_tests {
         write_csr_binary(&g, &mut buf).unwrap();
         buf.truncate(buf.len() - 3);
         assert!(read_csr_binary(&buf[..]).is_err());
+    }
+
+    fn is_unexpected_eof(err: &IoError) -> bool {
+        matches!(err, IoError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof)
+    }
+
+    /// A 24-byte header claiming n = 2^32 nodes and m = 2^39 edges, with no
+    /// body, must fail with a typed EOF error rather than abort on an
+    /// allocation sized from the header.
+    #[test]
+    fn hostile_header_fails_without_allocating() {
+        let mut buf = CSR_MAGIC.to_vec();
+        buf.extend_from_slice(&(1u64 << 32).to_le_bytes());
+        buf.extend_from_slice(&(1u64 << 39).to_le_bytes());
+        assert_eq!(buf.len(), 24);
+        let err = read_csr_binary(&buf[..]).unwrap_err();
+        assert!(is_unexpected_eof(&err), "{err}");
+    }
+
+    #[test]
+    fn header_only_file_is_truncated() {
+        let g = crate::generators::regular::ring(5);
+        let mut buf = Vec::new();
+        write_csr_binary(&g, &mut buf).unwrap();
+        buf.truncate(24);
+        let err = read_csr_binary(&buf[..]).unwrap_err();
+        assert!(is_unexpected_eof(&err), "{err}");
     }
 
     #[test]

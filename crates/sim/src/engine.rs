@@ -1,434 +1,102 @@
 //! Deterministic event queue for the simulation main loop.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Minimum bucket count (power of two).
-const MIN_BUCKETS: usize = 16;
-
 /// An event queue delivering `(time, payload)` pairs in time order, with
 /// FIFO tie-breaking by insertion sequence so runs are fully deterministic.
 ///
-/// Internally a bucketed *calendar queue* (Brown 1988): events hash into
-/// `buckets.len()` time-sliced buckets by `(time / width) % buckets`, and
-/// `pop` walks slots in calendar order, so the common discrete-event
-/// pattern — pops near the current time, pushes slightly ahead of it —
-/// costs O(1) amortized instead of the binary heap's O(log n). The
-/// ordering contract is exact: among all pending events the one with the
-/// smallest `(time, insertion seq)` pops first, identical to the previous
-/// `BinaryHeap` implementation for every push/pop interleaving.
+/// A binary min-heap on `(time, insertion seq)`: push and pop are
+/// O(log n) whatever the time distribution. The simulator's streams pile
+/// thousands of `SchedFree`/`Wake` events onto a few instants, a shape on
+/// which a bucketed calendar queue degrades to a linear scan per pop
+/// (DESIGN.md §9.4); the heap does not care.
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    /// `buckets[slot & mask]` holds events of every calendar "year" that
-    /// maps onto the slot; entries are `(time, seq, payload)`.
-    buckets: Vec<Vec<(SimTime, u64, T)>>,
-    /// Power-of-two bucket-count mask.
-    mask: usize,
-    /// Nanoseconds of simulated time per bucket.
-    width: SimTime,
-    /// Absolute slot (`time / width`) the next pop scans from. Invariant:
-    /// every pending event's slot is >= `cur_slot`.
-    cur_slot: u64,
-    len: usize,
+    heap: BinaryHeap<Entry<T>>,
     seq: u64,
-    /// Cached `(bucket, index)` of the current minimum, found by [`Self::peek`]
-    /// and consumed by the next [`Self::pop`]; invalidated by any push that
-    /// could beat it and by resizes.
-    peeked: Option<(usize, usize)>,
+}
+
+/// One pending event. Ordered by `(time, seq)` only, reversed so the
+/// max-heap pops the earliest first; the payload rides along unordered.
+#[derive(Debug)]
+struct Entry<T> {
+    time: SimTime,
+    seq: u64,
+    payload: T,
+}
+
+impl<T> Entry<T> {
+    #[inline]
+    fn key(&self) -> Reverse<(SimTime, u64)> {
+        Reverse((self.time, self.seq))
+    }
+}
+
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<T> Eq for Entry<T> {}
+
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for Entry<T> {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
 }
 
 impl<T> EventQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            mask: MIN_BUCKETS - 1,
-            // Matched to the simulator's typical inter-event gap (tens to
-            // hundreds of ns); resizes re-estimate it from live events.
-            width: 256,
-            cur_slot: 0,
-            len: 0,
-            seq: 0,
-            peeked: None,
-        }
+        EventQueue { heap: BinaryHeap::new(), seq: 0 }
     }
 
-    /// Empties the queue while keeping every bucket allocation (and the
-    /// calibrated bucket width), so a simulator run can reuse the queue of
-    /// the previous run without re-growing it. Ordering is unaffected: the
-    /// contract depends only on stored `(time, seq)` keys, never on bucket
-    /// layout, and `seq` restarts at 0 exactly like a fresh queue.
+    /// Empties the queue while keeping its allocation, so a simulator run
+    /// can reuse the queue of the previous run without re-growing it.
+    /// `seq` restarts at 0, exactly like a fresh queue.
     pub fn recycle(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.cur_slot = 0;
-        self.len = 0;
+        self.heap.clear();
         self.seq = 0;
-        self.peeked = None;
-    }
-
-    #[inline]
-    fn slot_of(&self, time: SimTime) -> u64 {
-        time / self.width
     }
 
     /// Schedules `payload` at `time`.
+    #[inline]
     pub fn push(&mut self, time: SimTime, payload: T) {
-        let slot = self.slot_of(time);
-        if self.len == 0 {
-            // Empty queue: re-anchor the scan position directly.
-            self.cur_slot = slot;
-        } else if slot < self.cur_slot {
-            // Out-of-order push (allowed by the API even though the DES
-            // loop never time-travels): rewind the scan position.
-            self.cur_slot = slot;
-        }
-        let b = (slot as usize) & self.mask;
-        // A pushed event can beat the cached minimum only with a strictly
-        // smaller time: its seq is larger than every pending event's.
-        if let Some((pb, pi)) = self.peeked {
-            if time < self.buckets[pb][pi].0 {
-                self.peeked = None;
-            }
-        }
-        self.buckets[b].push((time, self.seq, payload));
+        self.heap.push(Entry { time, seq: self.seq, payload });
         self.seq += 1;
-        self.len += 1;
-        if self.len > 2 * self.buckets.len() {
-            self.resize(self.buckets.len() * 2);
-        }
     }
 
     /// Removes and returns the earliest event (smallest `(time, seq)`).
-    pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        let (b, idx) = self.locate()?;
-        self.peeked = None;
-        Some(self.take(b, idx))
-    }
-
-    /// The earliest event without removing it (smallest `(time, seq)`).
-    /// The located position is cached, so a `peek` followed by `pop` costs
-    /// one calendar walk, not two.
-    pub fn peek(&mut self) -> Option<(SimTime, &T)> {
-        let (b, idx) = self.locate()?;
-        self.peeked = Some((b, idx));
-        let (t, _, ref p) = self.buckets[b][idx];
-        Some((t, p))
-    }
-
-    /// `(bucket, index)` of the earliest event, advancing `cur_slot` to its
-    /// calendar slot (sound: no pending event lives in an earlier slot).
-    fn locate(&mut self) -> Option<(usize, usize)> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some(loc) = self.peeked {
-            return Some(loc);
-        }
-        // Walk calendar slots from the current position. Each probe scans
-        // one bucket for events belonging to the probed year-slot; a full
-        // lap without a hit means the next event is far in the future, so
-        // jump straight to the global minimum.
-        let nbuckets = self.buckets.len() as u64;
-        for probe in 0..nbuckets {
-            let slot = self.cur_slot + probe;
-            let b = (slot as usize) & self.mask;
-            let lo = slot.saturating_mul(self.width);
-            let hi = lo.saturating_add(self.width);
-            if let Some(idx) = Self::min_in_window(&self.buckets[b], lo, hi) {
-                self.cur_slot = slot;
-                return Some((b, idx));
-            }
-        }
-        // Sparse tail: direct min over everything (rare), then re-anchor.
-        let (b, idx) = self.global_min().expect("len > 0");
-        self.cur_slot = self.buckets[b][idx].0 / self.width;
-        Some((b, idx))
-    }
-
-    /// Index of the smallest `(time, seq)` entry of `bucket` with
-    /// `lo <= time < hi`, if any.
     #[inline]
-    fn min_in_window(bucket: &[(SimTime, u64, T)], lo: SimTime, hi: SimTime) -> Option<usize> {
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (i, &(t, s, _)) in bucket.iter().enumerate() {
-            if t >= lo && t < hi && best.is_none_or(|(bt, bs, _)| (t, s) < (bt, bs)) {
-                best = Some((t, s, i));
-            }
-        }
-        best.map(|(_, _, i)| i)
-    }
-
-    /// `(bucket, index)` of the globally smallest `(time, seq)` entry.
-    fn global_min(&self) -> Option<(usize, usize)> {
-        let mut best: Option<(SimTime, u64, usize, usize)> = None;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (i, &(t, s, _)) in bucket.iter().enumerate() {
-                if best.is_none_or(|(bt, bs, _, _)| (t, s) < (bt, bs)) {
-                    best = Some((t, s, b, i));
-                }
-            }
-        }
-        best.map(|(_, _, b, i)| (b, i))
-    }
-
-    /// Removes entry `idx` of bucket `b` and returns `(time, payload)`.
-    fn take(&mut self, b: usize, idx: usize) -> (SimTime, T) {
-        let (t, _, p) = self.buckets[b].swap_remove(idx);
-        self.len -= 1;
-        (t, p)
-    }
-
-    /// Rebuilds with `nbuckets` buckets and a width re-estimated from the
-    /// live events' time span, preserving all entries and the ordering
-    /// contract (which depends only on stored `(time, seq)` keys).
-    fn resize(&mut self, nbuckets: usize) {
-        self.peeked = None;
-        let old: Vec<(SimTime, u64, T)> =
-            self.buckets.iter_mut().flat_map(std::mem::take).collect();
-        let (mut min_t, mut max_t) = (SimTime::MAX, 0);
-        for &(t, _, _) in &old {
-            min_t = min_t.min(t);
-            max_t = max_t.max(t);
-        }
-        // Aim for ~1 event per bucket across the live span.
-        let span = max_t.saturating_sub(min_t);
-        self.width = (span / old.len().max(1) as u64).max(1);
-        self.mask = nbuckets - 1;
-        self.buckets = (0..nbuckets).map(|_| Vec::new()).collect();
-        // Re-anchor the scan position at the earliest live event, which
-        // preserves the invariant cur_slot <= slot(event) for every event.
-        self.cur_slot = min_t / self.width;
-        for (t, s, p) in old {
-            let b = ((t / self.width) as usize) & self.mask;
-            self.buckets[b].push((t, s, p));
-        }
+    pub fn pop(&mut self) -> Option<(SimTime, T)> {
+        self.heap.pop().map(|e| (e.time, e.payload))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 }
 
 impl<T> Default for EventQueue<T> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// A calendar queue sharded by an integer key (the simulator shards by
-/// GPU), popping in exactly the same global `(time, push order)` order as
-/// a single [`EventQueue`] — cross-checked event-for-event by the
-/// equivalence tests below and in `tests/parallel_determinism.rs`.
-///
-/// This is the MGSim-style parallel discrete-event layout: each GPU owns a
-/// small queue whose events stay clustered in time, and a **conservative
-/// time window** exploits that locality — after popping from the earliest
-/// shard, the queue keeps draining that shard for as long as its head key
-/// stays below the second-earliest shard's head (no other shard can
-/// schedule into the past), skipping the cross-shard scan entirely. Each
-/// shard tags payloads with a global sequence number, so FIFO tie-breaks
-/// across shards match the single queue bit-for-bit.
-#[derive(Debug)]
-pub struct ShardedEventQueue<T> {
-    /// Per-shard calendar queues; payloads carry their global sequence.
-    shards: Vec<EventQueue<(u64, T)>>,
-    /// Cached head key `(time, global seq)` per shard; exact by
-    /// construction (push keeps the min, pop re-peeks the shard).
-    heads: Vec<Option<(SimTime, u64)>>,
-    gseq: u64,
-    len: usize,
-}
-
-impl<T> ShardedEventQueue<T> {
-    /// Creates a queue with `shards` shards (at least one).
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
-        ShardedEventQueue {
-            shards: (0..shards).map(|_| EventQueue::new()).collect(),
-            heads: vec![None; shards],
-            gseq: 0,
-            len: 0,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Schedules `payload` at `time` on `shard`.
-    pub fn push(&mut self, shard: usize, time: SimTime, payload: T) {
-        let key = (time, self.gseq);
-        // Within a shard, pushes happen in global-seq order, so the
-        // shard's own `(time, insertion seq)` order equals its
-        // `(time, global seq)` order; only cross-shard ties need `gseq`.
-        self.shards[shard].push(time, (self.gseq, payload));
-        if self.heads[shard].is_none_or(|h| key < h) {
-            self.heads[shard] = Some(key);
-        }
-        self.gseq += 1;
-        self.len += 1;
-    }
-
-    /// Removes and returns the earliest event (smallest `(time, global
-    /// seq)` across every shard).
-    pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        if self.len == 0 {
-            return None;
-        }
-        // Cross-shard scan: earliest head and the runner-up key.
-        let mut best: Option<(usize, (SimTime, u64))> = None;
-        let mut second: Option<(SimTime, u64)> = None;
-        for (s, head) in self.heads.iter().enumerate() {
-            let Some(key) = *head else { continue };
-            match best {
-                Some((_, bk)) if key >= bk => {
-                    if second.is_none_or(|sk| key < sk) {
-                        second = Some(key);
-                    }
-                }
-                _ => {
-                    if let Some((_, bk)) = best {
-                        second = Some(bk);
-                    }
-                    best = Some((s, key));
-                }
-            }
-        }
-        let (shard, _) = best.expect("len > 0 implies a live head");
-        let (t, (_, payload)) = self.shards[shard].pop().expect("head was live");
-        self.len -= 1;
-        self.heads[shard] = self.shards[shard].peek().map(|(ht, &(hs, _))| (ht, hs));
-        Some((t, payload))
-    }
-
-    /// Drains events in global order while the earliest shard's head stays
-    /// strictly below every other shard's head — the conservative-window
-    /// fast path. Calls `f` per event; returns the number delivered. The
-    /// general [`Self::pop`] loop is equivalent; this entry point only
-    /// avoids re-scanning the other shards inside the window.
-    pub fn drain_window(&mut self, mut f: impl FnMut(SimTime, T)) -> usize {
-        if self.len == 0 {
-            return 0;
-        }
-        let mut best: Option<(usize, (SimTime, u64))> = None;
-        let mut second: Option<(SimTime, u64)> = None;
-        for (s, head) in self.heads.iter().enumerate() {
-            let Some(key) = *head else { continue };
-            match best {
-                Some((_, bk)) if key >= bk => {
-                    if second.is_none_or(|sk| key < sk) {
-                        second = Some(key);
-                    }
-                }
-                _ => {
-                    if let Some((_, bk)) = best {
-                        second = Some(bk);
-                    }
-                    best = Some((s, key));
-                }
-            }
-        }
-        let (shard, mut key) = best.expect("len > 0 implies a live head");
-        let window = second;
-        let mut delivered = 0usize;
-        loop {
-            // Safe to pop `shard` while its head key beats every other
-            // shard: nothing can be scheduled into the past.
-            if window.is_some_and(|w| key >= w) {
-                break;
-            }
-            let (t, (_, payload)) = self.shards[shard].pop().expect("head was live");
-            self.len -= 1;
-            delivered += 1;
-            f(t, payload);
-            match self.shards[shard].peek() {
-                Some((ht, &(hs, _))) => {
-                    self.heads[shard] = Some((ht, hs));
-                    key = (ht, hs);
-                }
-                None => {
-                    self.heads[shard] = None;
-                    break;
-                }
-            }
-        }
-        delivered
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Empties the queue keeping every shard's bucket allocations; see
-    /// [`EventQueue::recycle`].
-    pub fn recycle(&mut self) {
-        for s in &mut self.shards {
-            s.recycle();
-        }
-        self.heads.fill(None);
-        self.gseq = 0;
-        self.len = 0;
-    }
-}
-
-/// Which event-queue layout [`crate::GpuSim`] uses for its main loop.
-///
-/// Both layouts deliver the exact same event order (pinned by equivalence
-/// tests), so simulated results are bit-identical; the choice is purely a
-/// host-performance knob. The compiled-in default is [`Calendar`]
-/// (`Sharded` with the `sharded-queue` cargo feature); a process-wide
-/// runtime override lets benchmarks and tests exercise both in one build.
-///
-/// [`Calendar`]: EventQueueStrategy::Calendar
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventQueueStrategy {
-    /// One calendar queue over all GPUs' events.
-    Calendar,
-    /// One calendar queue per GPU with conservative-window merging.
-    ShardedByGpu,
-}
-
-/// Process-wide strategy override: 0 = compiled default, 1 = calendar,
-/// 2 = sharded.
-static STRATEGY_OVERRIDE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// Overrides the event-queue strategy process-wide (`None` restores the
-/// compiled-in default). Takes effect at the next simulator run; safe to
-/// flip between runs — both strategies produce identical results, so this
-/// can never perturb digests, only host timing.
-pub fn set_event_queue_strategy(strategy: Option<EventQueueStrategy>) {
-    let v = match strategy {
-        None => 0,
-        Some(EventQueueStrategy::Calendar) => 1,
-        Some(EventQueueStrategy::ShardedByGpu) => 2,
-    };
-    STRATEGY_OVERRIDE.store(v, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The event-queue strategy simulator runs will use right now.
-pub fn event_queue_strategy() -> EventQueueStrategy {
-    match STRATEGY_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed) {
-        1 => EventQueueStrategy::Calendar,
-        2 => EventQueueStrategy::ShardedByGpu,
-        _ if cfg!(feature = "sharded-queue") => EventQueueStrategy::ShardedByGpu,
-        _ => EventQueueStrategy::Calendar,
     }
 }
 
@@ -520,7 +188,6 @@ mod tests {
 
     #[test]
     fn far_apart_times_pop_correctly() {
-        // Events many calendar laps apart exercise the sparse-tail jump.
         let mut q = EventQueue::new();
         q.push(1_000_000_000, "far");
         q.push(3, "near");
@@ -555,8 +222,8 @@ mod tests {
         }
     }
 
-    /// Exhaustive cross-check against the reference semantics (a binary
-    /// heap on `(time, seq)`), including resize-triggering volumes.
+    /// Cross-check against the reference semantics (a plain heap on
+    /// `(time, seq)`) on a random interleaving of pushes and pops.
     #[test]
     fn matches_reference_heap_order_exactly() {
         use std::cmp::Reverse;
@@ -607,23 +274,41 @@ mod tests {
         }
     }
 
+    /// The simulator's stream shape: thousands of events share each
+    /// timestamp while pushes and pops interleave. The pop order must equal
+    /// a stable sort of everything pushed by time.
     #[test]
-    fn peek_matches_pop_and_survives_pushes() {
+    fn heavy_ties_pop_in_stable_time_order() {
         let mut q = EventQueue::new();
-        q.push(50, "b");
-        q.push(10, "a");
-        assert_eq!(q.peek(), Some((10, &"a")));
-        // A later-time push must not disturb the cached minimum...
-        q.push(70, "c");
-        assert_eq!(q.peek(), Some((10, &"a")));
-        // ...and an earlier-time push must replace it.
-        q.push(5, "z");
-        assert_eq!(q.peek(), Some((5, &"z")));
-        assert_eq!(q.pop(), Some((5, "z")));
-        assert_eq!(q.pop(), Some((10, "a")));
-        assert_eq!(q.pop(), Some((50, "b")));
-        assert_eq!(q.pop(), Some((70, "c")));
-        assert_eq!(q.peek(), None);
+        let mut pushed: Vec<(SimTime, u64)> = Vec::new();
+        let mut popped: Vec<(SimTime, u64)> = Vec::new();
+        let mut id = 0u64;
+        for step in 0..8u64 {
+            // A wave of 3000 events on four instants ahead of `now`...
+            let now = popped.last().map_or(0, |&(t, _)| t);
+            for i in 0..3_000u64 {
+                let t = now + 100 * ((i * 7 + step) % 4);
+                q.push(t, id);
+                pushed.push((t, id));
+                id += 1;
+            }
+            // ...then pop most of it, pushing a same-time follower for
+            // every tenth event the way a freed warp re-arms itself.
+            for _ in 0..2_500 {
+                let (t, v) = q.pop().expect("pending");
+                popped.push((t, v));
+                if v % 10 == 0 {
+                    q.push(t, id);
+                    pushed.push((t, id));
+                    id += 1;
+                }
+            }
+        }
+        while let Some(e) = q.pop() {
+            popped.push(e);
+        }
+        pushed.sort_by_key(|&(t, _)| t);
+        assert_eq!(popped, pushed);
     }
 
     #[test]
@@ -632,11 +317,11 @@ mod tests {
         for i in 0..500u64 {
             q.push(i * 13, i);
         }
-        let buckets_before = q.buckets.len();
-        assert!(buckets_before > MIN_BUCKETS, "volume must have resized");
+        let capacity = q.heap.capacity();
+        assert!(capacity >= 500);
         q.recycle();
         assert!(q.is_empty());
-        assert_eq!(q.buckets.len(), buckets_before, "allocations kept");
+        assert_eq!(q.heap.capacity(), capacity, "allocation kept");
         // Recycled queue behaves exactly like a fresh one.
         q.push(30, 3);
         q.push(10, 1);
@@ -644,118 +329,6 @@ mod tests {
         assert_eq!(q.pop(), Some((10, 1)));
         assert_eq!(q.pop(), Some((10, 2)));
         assert_eq!(q.pop(), Some((30, 3)));
-    }
-
-    /// The sharded queue's pop stream must equal the single calendar
-    /// queue's, event for event, on an adversarial random stream — the
-    /// cross-check that makes the strategy swap safe.
-    #[test]
-    fn sharded_matches_calendar_event_for_event() {
-        for shards in [1usize, 2, 4, 8] {
-            let mut single: EventQueue<(usize, u64)> = EventQueue::new();
-            let mut sharded: ShardedEventQueue<(usize, u64)> = ShardedEventQueue::new(shards);
-            let mut state = 0xdead_beef_0bad_f00du64 ^ shards as u64;
-            let mut rand = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            let mut now = 0u64;
-            let mut id = 0u64;
-            for round in 0..3_000u64 {
-                for _ in 0..(rand() % 4) + 1 {
-                    let shard = (rand() % shards as u64) as usize;
-                    // Heavy time ties (dt 0) stress cross-shard FIFO.
-                    let dt = match rand() % 8 {
-                        0 => 0,
-                        1 => rand() % 100_000,
-                        _ => rand() % 300,
-                    };
-                    single.push(now + dt, (shard, id));
-                    sharded.push(shard, now + dt, (shard, id));
-                    id += 1;
-                }
-                for _ in 0..rand() % 5 {
-                    let want = single.pop();
-                    let got = sharded.pop();
-                    assert_eq!(got, want, "shards={shards} round={round}");
-                    if let Some((t, _)) = want {
-                        now = now.max(t);
-                    }
-                }
-            }
-            loop {
-                let want = single.pop();
-                let got = sharded.pop();
-                assert_eq!(got, want, "drain, shards={shards}");
-                if want.is_none() {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Same equivalence through the conservative-window drain entry point.
-    #[test]
-    fn sharded_window_drain_matches_calendar() {
-        let mut single: EventQueue<u64> = EventQueue::new();
-        let mut sharded: ShardedEventQueue<u64> = ShardedEventQueue::new(4);
-        let mut state = 77u64;
-        let mut rand = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for id in 0..5_000u64 {
-            let shard = (rand() % 4) as usize;
-            // Cluster each shard's events so windows actually open.
-            let t = shard as u64 * 10_000 + rand() % 3_000;
-            single.push(t, id);
-            sharded.push(shard, t, id);
-        }
-        let mut got = Vec::new();
-        while !sharded.is_empty() {
-            let n = sharded.drain_window(|t, v| got.push((t, v)));
-            assert!(n > 0, "window drain must always make progress");
-        }
-        let mut want = Vec::new();
-        while let Some(e) = single.pop() {
-            want.push(e);
-        }
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn sharded_recycle_restarts_clean() {
-        let mut q: ShardedEventQueue<u32> = ShardedEventQueue::new(3);
-        q.push(0, 10, 1);
-        q.push(2, 5, 2);
-        q.recycle();
-        assert!(q.is_empty());
-        q.push(1, 7, 9);
-        q.push(0, 7, 8);
-        // Cross-shard FIFO at equal times follows global push order.
-        assert_eq!(q.pop(), Some((7, 9)));
-        assert_eq!(q.pop(), Some((7, 8)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn strategy_override_wins_over_default() {
-        let compiled = if cfg!(feature = "sharded-queue") {
-            EventQueueStrategy::ShardedByGpu
-        } else {
-            EventQueueStrategy::Calendar
-        };
-        assert_eq!(event_queue_strategy(), compiled);
-        set_event_queue_strategy(Some(EventQueueStrategy::ShardedByGpu));
-        assert_eq!(event_queue_strategy(), EventQueueStrategy::ShardedByGpu);
-        set_event_queue_strategy(Some(EventQueueStrategy::Calendar));
-        assert_eq!(event_queue_strategy(), EventQueueStrategy::Calendar);
-        set_event_queue_strategy(None);
-        assert_eq!(event_queue_strategy(), compiled);
     }
 
     #[test]

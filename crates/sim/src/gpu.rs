@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use mgg_fault::{FaultSchedule, COMPLETION_TIMEOUT_NS, PEER_DEATH_TIMEOUT_NS, RETRY_BACKOFF_NS};
 
 use crate::cluster::{Cluster, PageHandler};
-use crate::engine::{event_queue_strategy, EventQueue, EventQueueStrategy, ShardedEventQueue};
+use crate::engine::EventQueue;
 use crate::kernel::{
     GpuKernelStats, KernelLaunch, KernelProgram, KernelStats, LaunchError, RecoveryStats,
 };
@@ -172,61 +172,6 @@ enum EvKind {
     Wake,
 }
 
-/// The main-loop event queue under the strategy selected by
-/// [`event_queue_strategy`]. Both variants deliver the exact same event
-/// order (equivalence pinned in `engine.rs` and
-/// `tests/parallel_determinism.rs`), so the simulation is bit-identical
-/// either way; events shard naturally by [`Ev::gpu`] because `issue` only
-/// schedules events for the GPU it is issuing on.
-#[derive(Debug)]
-enum EvQueue {
-    Calendar(EventQueue<Ev>),
-    Sharded(ShardedEventQueue<Ev>),
-}
-
-impl EvQueue {
-    fn for_run(strategy: EventQueueStrategy, gpus: usize) -> EvQueue {
-        match strategy {
-            EventQueueStrategy::Calendar => EvQueue::Calendar(EventQueue::new()),
-            EventQueueStrategy::ShardedByGpu => {
-                EvQueue::Sharded(ShardedEventQueue::new(gpus))
-            }
-        }
-    }
-
-    /// True when a recycled queue can serve a run with this shape.
-    fn matches(&self, strategy: EventQueueStrategy, gpus: usize) -> bool {
-        match (self, strategy) {
-            (EvQueue::Calendar(_), EventQueueStrategy::Calendar) => true,
-            (EvQueue::Sharded(q), EventQueueStrategy::ShardedByGpu) => q.shards() == gpus,
-            _ => false,
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, time: SimTime, ev: Ev) {
-        match self {
-            EvQueue::Calendar(q) => q.push(time, ev),
-            EvQueue::Sharded(q) => q.push(ev.gpu as usize, time, ev),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(SimTime, Ev)> {
-        match self {
-            EvQueue::Calendar(q) => q.pop(),
-            EvQueue::Sharded(q) => q.pop(),
-        }
-    }
-
-    fn recycle(&mut self) {
-        match self {
-            EvQueue::Calendar(q) => q.recycle(),
-            EvQueue::Sharded(q) => q.recycle(),
-        }
-    }
-}
-
 /// Cap on recycled `WarpOp` buffers kept per host thread; beyond this the
 /// extras drop and fall back to allocation — a memory bound, not a
 /// correctness knob.
@@ -234,14 +179,14 @@ const SCRATCH_OPS_CAP: usize = 4096;
 
 /// Per-host-thread reusable simulator state. Worker threads on the
 /// persistent `mgg-runtime` pool run many simulations back to back (one
-/// sweep cell each); reusing the event queue's calibrated buckets and the
+/// sweep cell each); reusing the event queue's heap allocation and the
 /// warps' op buffers across runs removes the per-cell allocator storm that
 /// used to inflate parallel exec time. Purely host-side: recycled buffers
 /// are emptied before reuse, so simulated results are unchanged.
 #[derive(Default)]
 struct SimScratch {
     ops_pool: Vec<Vec<WarpOp>>,
-    queue: Option<EvQueue>,
+    queue: EventQueue<Ev>,
 }
 
 thread_local! {
@@ -284,13 +229,13 @@ impl GpuSim {
         let spec = cluster.spec.gpu.clone();
         let n = cluster.num_gpus();
         // Pull this host thread's recycled arenas: op-buffer free lists are
-        // dealt round-robin to the GPUs, and the event queue is reused when
-        // its shape matches the run.
-        let strategy = event_queue_strategy();
-        let (mut ops_pool, recycled_queue) = SIM_SCRATCH.with(|s| {
+        // dealt round-robin to the GPUs, and the event queue keeps its
+        // allocation.
+        let (mut ops_pool, mut q) = SIM_SCRATCH.with(|s| {
             let mut s = s.borrow_mut();
-            (std::mem::take(&mut s.ops_pool), s.queue.take())
+            (std::mem::take(&mut s.ops_pool), std::mem::take(&mut s.queue))
         });
+        q.recycle();
         let mut gpus: Vec<GpuRt> = Vec::with_capacity(n);
         for pe in 0..n {
             let launch = program.launch(pe);
@@ -311,14 +256,6 @@ impl GpuSim {
                 scratch: ops_pool.split_off(ops_pool.len() - share),
             });
         }
-
-        let mut q: EvQueue = match recycled_queue {
-            Some(mut rq) if rq.matches(strategy, n) => {
-                rq.recycle();
-                rq
-            }
-            _ => EvQueue::for_run(strategy, n),
-        };
 
         // Initial block admission: fill every SM up to its residency limit,
         // round-robin over SMs the way the hardware rasterizes a grid.
@@ -406,7 +343,7 @@ impl GpuSim {
                 s.ops_pool.append(&mut gpu.scratch);
             }
             s.ops_pool.truncate(SCRATCH_OPS_CAP);
-            s.queue = Some(q);
+            s.queue = q;
         });
         Ok(stats)
     }
@@ -466,7 +403,7 @@ fn issue(
     gpu: &mut GpuRt,
     cluster: &mut Cluster,
     handler: &mut dyn PageHandler,
-    q: &mut EvQueue,
+    q: &mut EventQueue<Ev>,
     program: &dyn KernelProgram,
     spec: &GpuSpec,
     faults: &mut FaultCtx,

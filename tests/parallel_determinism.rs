@@ -194,22 +194,21 @@ fn speculative_tuning_matches_sequential_search() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The GPU-sharded event queue is a drop-in replacement for the single
-    /// calendar queue: for arbitrary workloads, every simulated statistic
-    /// matches the calendar strategy exactly, at every host thread count
-    /// (the per-worker scratch queues recycle independently per thread, so
-    /// an odd width would expose any shard-state leak between runs).
+    /// Every host thread keeps its event queue between simulator runs and
+    /// recycles it. For arbitrary workloads, recycled queues must give the
+    /// same statistics as a fresh queue on a new thread, at every thread
+    /// count. Each width sweeps twice, so the second pass runs entirely on
+    /// recycled queues, and the odd width shifts which cells land on which
+    /// worker; any state leaking between runs would show.
     #[test]
-    fn sharded_event_queue_matches_calendar_at_every_thread_count(
+    fn recycled_event_queues_match_a_fresh_run_at_every_thread_count(
         graph_seed in 0u64..1_000,
         dim in 1usize..48,
     ) {
-        use mgg::sim::{set_event_queue_strategy, EventQueueStrategy};
         let g = rmat(&RmatConfig::graph500(8, 1_500, graph_seed));
         let cells: Vec<usize> = vec![2, 4, 8];
-        let sweep = |threads: usize, strategy: EventQueueStrategy| {
-            set_event_queue_strategy(Some(strategy));
-            let stats = with_threads(threads, || {
+        let sweep = |threads: usize| {
+            with_threads(threads, || {
                 par_map(&cells, |&gpus| {
                     let mut e = MggEngine::new(
                         &g,
@@ -219,16 +218,13 @@ proptest! {
                     );
                     e.simulate_aggregation(dim).expect("valid launch")
                 })
-            });
-            set_event_queue_strategy(None);
-            stats
+            })
         };
-        let want = sweep(1, EventQueueStrategy::Calendar);
+        let want = std::thread::scope(|s| s.spawn(|| sweep(1)).join().expect("fresh run"));
         for t in [1usize, 2, 4, 7] {
-            let sharded = sweep(t, EventQueueStrategy::ShardedByGpu);
-            prop_assert_eq!(&want, &sharded, "sharded queue diverged at {} threads", t);
-            let calendar = sweep(t, EventQueueStrategy::Calendar);
-            prop_assert_eq!(&want, &calendar, "calendar strategy diverged at {} threads", t);
+            for pass in 0..2 {
+                prop_assert_eq!(&want, &sweep(t), "diverged at {} threads, pass {}", t, pass);
+            }
         }
     }
 }
