@@ -32,7 +32,7 @@ use mgg_serve::{PriorityMix, ServeConfig, Server, WorkloadSpec};
 use mgg_sim::ClusterSpec;
 use serde::Serialize;
 
-use crate::experiments::common::datasets;
+use crate::experiments::common::{datasets, digest_hex};
 use crate::report::ExperimentReport;
 
 /// Offered load of the ceiling run and the drill, as a multiple of
@@ -168,16 +168,6 @@ pub struct ChurnBenchReport {
     pub replay_matches: bool,
 }
 
-fn fnv1a(values: impl Iterator<Item = u64>) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in values {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    format!("{h:016x}")
-}
 
 /// The drill's churn plane: steady deltas, a mid-window burst, and the
 /// scripted drain -> leave -> join cycle on shard 1.
@@ -236,7 +226,7 @@ fn mutate_and_digest(
             *v = ((i * 31 + 7) % 97) as f32 * 0.01;
         }
         let y = engine.aggregate_values(&x);
-        let digest = fnv1a(y.data().iter().map(|f| f.to_bits() as u64));
+        let digest = digest_hex(y.data().iter().map(|f| f.to_bits() as u64));
         (total, engine.stale_reads(), digest)
     })
 }

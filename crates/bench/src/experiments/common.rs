@@ -82,6 +82,14 @@ pub fn model_time_ns(
     }
 }
 
+/// Hex FNV-1a digest of `values`, each fed as 8 little-endian bytes — the
+/// replay fingerprint the experiments compare across thread counts.
+pub fn digest_hex(values: impl IntoIterator<Item = u64>) -> String {
+    let mut h = mgg_runtime::Fnv1a::new();
+    values.into_iter().for_each(|v| h.u64(v));
+    format!("{:016x}", h.finish())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -32,7 +32,7 @@ use mgg_runtime::profile::{OverheadBreakdown, RuntimeProfile};
 use mgg_sim::ClusterSpec;
 use serde::Serialize;
 
-use crate::experiments::common::datasets;
+use crate::experiments::common::{datasets, digest_hex};
 use crate::report::ExperimentReport;
 
 /// Timed (unprofiled) runs per thread count; the row reports the best.
@@ -90,17 +90,6 @@ pub struct HostPerfReport {
     /// True iff every thread count produced bit-identical sweep results,
     /// profiled runs included.
     pub digests_match: bool,
-}
-
-fn fnv1a(values: &[u64]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in values {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    format!("{h:016x}")
 }
 
 /// Runs the sweep once at `threads` workers, returning (wall_ns, latencies).
@@ -172,7 +161,7 @@ pub fn run(scale: f64) -> HostPerfReport {
             let (w, lats) = run_sweep(&ds, threads);
             wall_ns = wall_ns.min(w);
             if run == 0 {
-                digest = fnv1a(&lats);
+                digest = digest_hex(lats.iter().copied());
             }
         }
         let (_, profiled_lats, profile) = run_sweep_profiled(&ds, threads);
@@ -182,7 +171,7 @@ pub fn run(scale: f64) -> HostPerfReport {
             wall_ns,
             speedup: 0.0, // filled in below once the 1-thread row exists
             digest,
-            digest_profiled: fnv1a(&profiled_lats),
+            digest_profiled: digest_hex(profiled_lats.iter().copied()),
             overhead: profile.breakdown(),
         });
     }

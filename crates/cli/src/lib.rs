@@ -100,12 +100,6 @@ pub enum Command {
         /// Remote-embedding cache (`--cache-mb N [--cache-policy lru|lfu]`;
         /// None = caching disabled).
         cache: Option<CacheConfig>,
-        /// Host-DRAM L2 tier behind the HBM cache (`--cache-l2-mb N
-        /// [--cache-l2-policy lru|lfu]`; None = single-tier).
-        cache_l2: Option<CacheConfig>,
-        /// Deterministic prefetch look-ahead in warps (`--prefetch-depth N`;
-        /// 0 = prefetching disabled).
-        prefetch_depth: u32,
     },
     /// `profile`: attribute simulated time across pipeline phases.
     Profile {
@@ -340,26 +334,76 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter();
     let cmd = it.next().ok_or("no command given")?;
     let mut positional: Vec<String> = Vec::new();
-    let mut flags: std::collections::HashMap<String, String> = std::collections::HashMap::new();
-    let mut switches: std::collections::HashSet<String> = std::collections::HashSet::new();
+    let mut flags = Flags::default();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
             match name {
                 "multilevel" | "tune" | "host" | "annotate" | "strict" => {
-                    switches.insert(name.to_string());
+                    flags.switches.insert(name.to_string());
                 }
                 _ => {
                     let v = it.next().ok_or_else(|| format!("missing value for --{name}"))?;
-                    flags.insert(name.to_string(), v.clone());
+                    flags.values.insert(name.to_string(), v.clone());
                 }
             }
         } else if a == "-o" {
             let v = it.next().ok_or("missing value for -o")?;
-            flags.insert("out".to_string(), v.clone());
+            flags.values.insert("out".to_string(), v.clone());
         } else {
             positional.push(a.clone());
         }
     }
+    let command = parse_command(cmd, &positional, &flags)?;
+    // Every subcommand reads only the flags it knows; anything left over
+    // would otherwise be dropped without a word.
+    flags.reject_unread(cmd)?;
+    Ok(command)
+}
+
+/// The `--name value` flags and bare `--switch`es of one invocation. Reads
+/// are recorded, so after a subcommand has parsed what it knows,
+/// [`Flags::reject_unread`] can refuse whatever it never looked at.
+#[derive(Default)]
+struct Flags {
+    values: std::collections::HashMap<String, String>,
+    switches: std::collections::HashSet<String>,
+    read: std::cell::RefCell<std::collections::HashSet<String>>,
+}
+
+impl Flags {
+    fn get(&self, name: &str) -> Option<&String> {
+        self.read.borrow_mut().insert(name.to_string());
+        self.values.get(name)
+    }
+
+    fn contains_key(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        self.read.borrow_mut().insert(name.to_string());
+        self.switches.contains(name)
+    }
+
+    /// Errors on the first (alphabetically) flag or switch `cmd` never read.
+    fn reject_unread(&self, cmd: &str) -> Result<(), String> {
+        let read = self.read.borrow();
+        let unread = self
+            .values
+            .keys()
+            .chain(&self.switches)
+            .filter(|k| !read.contains(*k))
+            .min();
+        match unread {
+            Some(name) => Err(format!("unknown flag '--{name}' for {cmd}")),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Builds the [`Command`] for subcommand `cmd` from its positional
+/// arguments and flags.
+fn parse_command(cmd: &str, positional: &[String], flags: &Flags) -> Result<Command, String> {
     let get_usize = |k: &str, default: usize| -> Result<usize, String> {
         flags
             .get(k)
@@ -377,7 +421,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
      -> Result<Option<FaultSpec>, String> {
         let fault_flags =
             ["fault-seed", "fault-link-degrade", "fault-straggler", "fault-drop-rate"];
-        if fault_flags.iter().any(|k| flags.contains_key(*k)) {
+        if fault_flags.iter().any(|k| flags.contains_key(k)) {
             let spec = FaultSpec {
                 seed: get_usize("fault-seed", 0)? as u64,
                 link_degrade: get_f64("fault-link-degrade", 1.0)?,
@@ -394,21 +438,19 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let graph_path = |positional: &[String]| -> Result<PathBuf, String> {
         positional.first().map(PathBuf::from).ok_or_else(|| "missing graph file".to_string())
     };
-    let get_threads =
-        |flags: &std::collections::HashMap<String, String>| -> Result<Option<usize>, String> {
-            match flags.get("threads") {
-                None => Ok(None),
-                Some(v) => {
-                    let n: usize =
-                        v.parse().map_err(|_| "--threads expects a positive integer")?;
-                    if n == 0 {
-                        return Err("--threads must be >= 1 (1 = sequential)".into());
-                    }
-                    Ok(Some(n))
+    let get_threads = || -> Result<Option<usize>, String> {
+        match flags.get("threads") {
+            None => Ok(None),
+            Some(v) => {
+                let n: usize = v.parse().map_err(|_| "--threads expects a positive integer")?;
+                if n == 0 {
+                    return Err("--threads must be >= 1 (1 = sequential)".into());
                 }
+                Ok(Some(n))
             }
-        };
-    let get_engine = |flags: &std::collections::HashMap<String, String>| -> Result<Engine, String> {
+        }
+    };
+    let get_engine = || -> Result<Engine, String> {
         match flags.get("engine").map(|s| s.as_str()).unwrap_or("mgg") {
             "mgg" => Ok(Engine::Mgg),
             "uvm" => Ok(Engine::Uvm),
@@ -418,17 +460,16 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             other => Err(format!("unknown engine '{other}'")),
         }
     };
-    let get_platform =
-        |flags: &std::collections::HashMap<String, String>| -> Result<Platform, String> {
-            match flags.get("platform").map(|s| s.as_str()).unwrap_or("a100") {
-                "a100" => Ok(Platform::A100),
-                "v100" => Ok(Platform::V100),
-                "pcie" => Ok(Platform::Pcie),
-                other => Err(format!("unknown platform '{other}'")),
-            }
-        };
+    let get_platform = || -> Result<Platform, String> {
+        match flags.get("platform").map(|s| s.as_str()).unwrap_or("a100") {
+            "a100" => Ok(Platform::A100),
+            "v100" => Ok(Platform::V100),
+            "pcie" => Ok(Platform::Pcie),
+            other => Err(format!("unknown platform '{other}'")),
+        }
+    };
 
-    match cmd.as_str() {
+    match cmd {
         "generate" => {
             let out = flags.get("out").map(PathBuf::from).ok_or("generate needs -o <file>")?;
             let source = if let Some(name) = flags.get("dataset") {
@@ -451,14 +492,14 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             };
             Ok(Command::Generate { source, out })
         }
-        "stats" => Ok(Command::Stats { graph: graph_path(&positional)? }),
+        "stats" => Ok(Command::Stats { graph: graph_path(positional)? }),
         "partition" => Ok(Command::Partition {
-            graph: graph_path(&positional)?,
+            graph: graph_path(positional)?,
             gpus: get_usize("gpus", 8)?,
-            multilevel: switches.contains("multilevel"),
+            multilevel: flags.switch("multilevel"),
         }),
         "reorder" => Ok(Command::Reorder {
-            graph: graph_path(&positional)?,
+            graph: graph_path(positional)?,
             out: flags.get("out").map(PathBuf::from).ok_or("reorder needs -o <file>")?,
         }),
         "train" => Ok(Command::Train {
@@ -468,8 +509,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             gpus: get_usize("gpus", 8)?,
         }),
         "simulate" => {
-            let engine = get_engine(&flags)?;
-            let platform = get_platform(&flags)?;
+            let engine = get_engine()?;
+            let platform = get_platform()?;
             let fault = get_fault(&get_usize, &get_f64)?;
             let gpus = get_usize("gpus", 8)?;
             let mut permanent = Vec::new();
@@ -497,53 +538,19 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 }
                 None => None,
             };
-            let cache_l2 = match flags.get("cache-l2-mb") {
-                Some(v) => {
-                    if cache.is_none() {
-                        return Err("--cache-l2-mb requires --cache-mb (the L2 tier backs an L1)".into());
-                    }
-                    let mb = v
-                        .parse::<u32>()
-                        .ok()
-                        .filter(|&m| m > 0)
-                        .ok_or("--cache-l2-mb expects a positive integer (MiB of host DRAM)")?;
-                    let policy = match flags.get("cache-l2-policy") {
-                        Some(p) => p.parse::<CachePolicy>()?,
-                        None => CachePolicy::Lru,
-                    };
-                    Some(CacheConfig::from_mb(mb).with_policy(policy))
-                }
-                None if flags.contains_key("cache-l2-policy") => {
-                    return Err("--cache-l2-policy requires --cache-l2-mb".into());
-                }
-                None => None,
-            };
-            let prefetch_depth = match flags.get("prefetch-depth") {
-                Some(v) => {
-                    if cache.is_none() {
-                        return Err("--prefetch-depth requires --cache-mb (prefetch fills the cache)".into());
-                    }
-                    v.parse::<u32>()
-                        .ok()
-                        .ok_or("--prefetch-depth expects a non-negative integer (warps of look-ahead)")?
-                }
-                None => 0,
-            };
             Ok(Command::Simulate {
-                graph: graph_path(&positional)?,
+                graph: graph_path(positional)?,
                 gpus,
                 dim: get_usize("dim", 64)?,
                 engine,
-                tune: switches.contains("tune"),
+                tune: flags.switch("tune"),
                 platform,
                 fault,
                 permanent,
                 trace_out: flags.get("trace-out").map(PathBuf::from),
                 metrics_out: flags.get("metrics-out").map(PathBuf::from),
-                threads: get_threads(&flags)?,
+                threads: get_threads()?,
                 cache,
-                cache_l2,
-                prefetch_depth,
             })
         }
         "serve" => {
@@ -633,7 +640,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             };
             let churn_keys =
                 ["churn-seed", "churn-deltas", "churn-fence-us", "churn-warmup-us", "drain", "leave", "join"];
-            let churn = if churn_keys.iter().any(|k| flags.contains_key(*k)) {
+            let churn = if churn_keys.iter().any(|k| flags.contains_key(k)) {
                 let seed = get_usize("churn-seed", 0)? as u64;
                 let mut cs = match flags.get("churn-deltas") {
                     Some(v) => {
@@ -675,10 +682,10 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             };
             let defaults = ServeConfig::default();
             Ok(Command::Serve {
-                graph: graph_path(&positional)?,
+                graph: graph_path(positional)?,
                 gpus,
                 dim: get_usize("dim", 64)?,
-                platform: get_platform(&flags)?,
+                platform: get_platform()?,
                 arrival,
                 qps,
                 deadline_ns: get_usize("deadline-us", 1_000)? as u64 * 1_000,
@@ -689,7 +696,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 queue_cap: get_usize("queue-cap", defaults.queue_cap)?,
                 fault,
                 permanent,
-                threads: get_threads(&flags)?,
+                threads: get_threads()?,
                 mix,
                 churn,
                 json_out: flags.get("json-out").map(PathBuf::from),
@@ -697,15 +704,15 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "profile" => Ok(Command::Profile {
-            graph: graph_path(&positional)?,
+            graph: graph_path(positional)?,
             gpus: get_usize("gpus", 8)?,
             dim: get_usize("dim", 64)?,
-            engine: get_engine(&flags)?,
-            platform: get_platform(&flags)?,
+            engine: get_engine()?,
+            platform: get_platform()?,
             trace_out: flags.get("trace-out").map(PathBuf::from),
             metrics_out: flags.get("metrics-out").map(PathBuf::from),
-            threads: get_threads(&flags)?,
-            host: switches.contains("host"),
+            threads: get_threads()?,
+            host: flags.switch("host"),
         }),
         "perfdiff" => {
             if positional.len() != 2 {
@@ -718,8 +725,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::PerfDiff {
                 baseline: PathBuf::from(&positional[0]),
                 candidate: PathBuf::from(&positional[1]),
-                annotate: switches.contains("annotate"),
-                strict: switches.contains("strict"),
+                annotate: flags.switch("annotate"),
+                strict: flags.switch("strict"),
                 json_out: flags.get("json-out").map(PathBuf::from),
             })
         }
@@ -844,8 +851,6 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             metrics_out,
             threads,
             cache,
-            cache_l2,
-            prefetch_depth,
         } => {
             if let Some(n) = threads {
                 mgg_runtime::set_threads(*n);
@@ -881,8 +886,6 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     )
                     .map_err(|e| e.to_string())?;
                     e.set_cache(*cache);
-                    e.set_cache_l2(*cache_l2);
-                    e.set_prefetch_depth(*prefetch_depth);
                     let mut note = String::new();
                     if fault.is_some() || !permanent.is_empty() {
                         let mut sched = match fault {
@@ -955,30 +958,6 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                             c.evictions,
                             100.0 * c.hit_rate()
                         ));
-                        if let Some(l2) = cache_l2 {
-                            let t = e.tier_stats();
-                            note.push_str(&format!(
-                                "L2 tier ({} MiB host, {}): {} hits, {} demotions, {} promotions, {} dropped, L2 hit rate {:.1}%\n",
-                                l2.capacity_bytes / (1024 * 1024),
-                                l2.policy,
-                                t.l2_hits,
-                                t.demotions,
-                                t.promotions,
-                                t.dropped,
-                                100.0 * t.l2_hit_rate()
-                            ));
-                        }
-                        if *prefetch_depth > 0 {
-                            let t = e.tier_stats();
-                            note.push_str(&format!(
-                                "prefetch (depth {}): {} issued, {} useful, {} evicted unused, accuracy {:.1}%\n",
-                                prefetch_depth,
-                                t.prefetch_issued,
-                                t.prefetch_useful,
-                                t.prefetch_evicted,
-                                100.0 * t.prefetch_accuracy()
-                            ));
-                        }
                     }
                     if fault.is_some() || !permanent.is_empty() {
                         let r = stats.recovery;
@@ -1400,8 +1379,6 @@ pub fn usage() -> &'static str {
                    [--trace-out <file>] [--metrics-out <file>]   (mgg/uvm engines)
                    [--threads N]   (worker pool; default all cores, 1 = sequential)
                    [--cache-mb N] [--cache-policy lru|lfu]   (remote-embedding cache, mgg engine)
-                   [--cache-l2-mb N] [--cache-l2-policy lru|lfu]   (host-DRAM tier behind the cache)
-                   [--prefetch-depth N]   (deterministic look-ahead prefetch, warps; default 0)
   mgg-cli serve <graph> [--gpus N] [--dim D] [--platform a100|v100|pcie]
                 [--arrival poisson|bursty[:PERIOD,DUTY%]|ramp[:FROM,TO]]
                 [--qps Q]   (offered queries/s; default 1.5x calibrated saturation)
@@ -1478,8 +1455,6 @@ mod tests {
                 metrics_out: None,
                 threads: None,
                 cache: None,
-                cache_l2: None,
-                prefetch_depth: 0,
             }
         );
     }
@@ -1505,32 +1480,57 @@ mod tests {
     }
 
     #[test]
-    fn parse_cache_tier_and_prefetch_flags() {
-        match parse(&args("simulate g.csr --cache-mb 4 --cache-l2-mb 256 --prefetch-depth 4"))
-            .unwrap()
-        {
-            Command::Simulate { cache, cache_l2, prefetch_depth, .. } => {
-                assert_eq!(cache, Some(CacheConfig::from_mb(4)));
-                assert_eq!(cache_l2, Some(CacheConfig::from_mb(256)));
-                assert_eq!(prefetch_depth, 4);
-            }
-            other => panic!("parsed {other:?}"),
+    fn unknown_flags_are_rejected_per_subcommand() {
+        for (line, flag) in [
+            ("simulate g.csr --cache-mb 4 --cache-l2-mb 256", "--cache-l2-mb"),
+            ("simulate g.csr --cache-mb 4 --prefetch-depth 4", "--prefetch-depth"),
+            ("simulate g.csr --cache-mbb 4", "--cache-mbb"),
+            ("stats g.csr --gpus 4", "--gpus"),
+            ("partition g.csr --tune", "--tune"),
+            ("train --zipf 1.2", "--zipf"),
+        ] {
+            let err = parse(&args(line)).unwrap_err();
+            let cmd = line.split_whitespace().next().unwrap();
+            assert_eq!(err, format!("unknown flag '{flag}' for {cmd}"), "{line}");
         }
-        match parse(&args("simulate g.csr --cache-mb 4 --cache-l2-mb 64 --cache-l2-policy lfu"))
-            .unwrap()
-        {
-            Command::Simulate { cache_l2, prefetch_depth, .. } => {
-                assert_eq!(cache_l2, Some(CacheConfig::from_mb(64).with_policy(CachePolicy::Lfu)));
-                assert_eq!(prefetch_depth, 0);
-            }
-            other => panic!("parsed {other:?}"),
+    }
+
+    #[test]
+    fn every_flag_in_the_usage_text_parses() {
+        let lines = [
+            "generate --dataset rdd --scale 0.5 -o g.csr",
+            "generate --rmat 10,100 --seed 3 -o g.csr",
+            "stats g.csr",
+            "partition g.csr --gpus 4 --multilevel",
+            "reorder g.csr -o r.csr",
+            "simulate g.csr --gpus 4 --dim 16 --engine mgg --tune --platform a100 \
+             --fault-seed 1 --fault-link-degrade 0.5 --fault-straggler 2 --fault-drop-rate 0.1 \
+             --fault-gpu-fail 3@2ms --fault-link-down 0-1@1ms --trace-out t.json \
+             --metrics-out m.json --threads 2 --cache-mb 4 --cache-policy lfu",
+            "serve g.csr --gpus 4 --dim 16 --platform v100 --arrival bursty --qps 1e6 \
+             --deadline-us 500 --zipf 1.1 --duration 1ms --seed 3 --batch-cap 8 --queue-cap 64 \
+             --threads 2 --fault-seed 1 --fault-straggler 2 --fault-link-degrade 0.5 \
+             --fault-drop-rate 0.1 --fault-gpu-fail 3@2ms --fault-link-down 0-1@1ms \
+             --priority-mix 0.2,0.3,0.5 --churn-deltas 100 --churn-seed 1 --churn-fence-us 250 \
+             --churn-warmup-us 100 --drain 1@1ms --leave 2@1ms --join 2@1500us \
+             --json-out s.json --metrics-out m.json",
+            "profile g.csr --gpus 4 --dim 16 --engine uvm --platform pcie --trace-out t.json \
+             --metrics-out m.json --threads 2 --host",
+            "perfdiff a.json b.json --annotate --strict --json-out d.json",
+            "train --communities 4 --size 20 --epochs 3 --gpus 2",
+        ];
+        for line in lines {
+            parse(&args(line)).unwrap_or_else(|e| panic!("{line}: {e}"));
         }
-        // Both riders need an L1 to attach to.
-        assert!(parse(&args("simulate g.csr --cache-l2-mb 256")).is_err());
-        assert!(parse(&args("simulate g.csr --prefetch-depth 4")).is_err());
-        assert!(parse(&args("simulate g.csr --cache-mb 4 --cache-l2-policy lfu")).is_err());
-        assert!(parse(&args("simulate g.csr --cache-mb 4 --cache-l2-mb 0")).is_err());
-        assert!(parse(&args("simulate g.csr --cache-mb 4 --prefetch-depth much")).is_err());
+        let covered = lines.join(" ");
+        for flag in usage().split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+            if flag.starts_with("--") && flag.len() > 2 {
+                assert!(
+                    covered.split_whitespace().any(|a| a == flag),
+                    "usage names {flag} but no invocation here exercises it"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! `simulate_aggregation`, zero I/O) and [`FileStore`] (JSON files, one per
 //! epoch, for CLI runs that should survive the process).
 
+use mgg_runtime::Fnv1a;
 use serde::{Deserialize, Serialize};
 
 /// One epoch-boundary snapshot.
@@ -29,25 +30,14 @@ pub struct Checkpoint {
     pub checksum: u64,
 }
 
-/// FNV-1a over a byte stream, seeded with the standard offset basis.
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn payload_checksum(epoch: u64, dim: usize, bounds: &[u32], features: &[f32]) -> u64 {
-    let header = epoch
-        .to_le_bytes()
-        .into_iter()
-        .chain((dim as u64).to_le_bytes());
-    let bounds_bytes = bounds.iter().flat_map(|b| b.to_le_bytes());
+    let mut h = Fnv1a::new();
+    h.u64(epoch);
+    h.u64(dim as u64);
+    bounds.iter().for_each(|&b| h.u32(b));
     // Hash the exact bit patterns so restore equality is bit-equality.
-    let feature_bytes = features.iter().flat_map(|f| f.to_bits().to_le_bytes());
-    fnv1a(header.chain(bounds_bytes).chain(feature_bytes))
+    features.iter().for_each(|f| h.u32(f.to_bits()));
+    h.finish()
 }
 
 impl Checkpoint {

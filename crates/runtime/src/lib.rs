@@ -37,9 +37,11 @@
 
 #![deny(missing_docs)]
 
+mod hash;
 pub mod pool;
 pub mod profile;
 
+pub use hash::Fnv1a;
 pub use pool::{shutdown as shutdown_pool, spawned_workers};
 
 use profile::{LaneRaw, RegionTimer};

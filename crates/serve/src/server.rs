@@ -1144,7 +1144,7 @@ impl Server {
         }
     }
 
-    /// FNV-1a over the full decision trace: the run's replay fingerprint.
+    /// `Fnv` hash of the full decision trace: the run's replay fingerprint.
     /// Churn activity is folded in only when present, so static-graph
     /// digests match the values pinned by committed baselines.
     fn digest(
@@ -1214,7 +1214,10 @@ pub fn snapshot_digest(snap: &MetricsSnapshot) -> u64 {
     h.finish()
 }
 
-/// Minimal FNV-1a 64.
+/// FNV-1a-shaped 64-bit hash with multiplier `0x1000_0000_01b3` — not
+/// the standard FNV prime `0x100_0000_01b3` that `mgg_runtime::Fnv1a`
+/// uses. Every committed serving digest was computed with this
+/// multiplier, so it stays until those baselines are re-committed.
 struct Fnv(u64);
 
 impl Fnv {

@@ -19,6 +19,7 @@ use mgg_gnn::tensor::Matrix;
 use mgg_graph::generators::rmat::{rmat, RmatConfig};
 use mgg_graph::CsrGraph;
 use mgg_serve::{PriorityMix, ServeConfig, ServeOutcome, Server, WorkloadSpec};
+use mgg_runtime::Fnv1a;
 use mgg_sim::ClusterSpec;
 use mgg_telemetry::Telemetry;
 use proptest::prelude::*;
@@ -173,14 +174,9 @@ fn mutate_digest(g: &CsrGraph, churn: &ChurnSchedule, threads: usize) -> (String
             *v = ((i * 13 + 5) % 89) as f32 * 0.01;
         }
         let y = e.aggregate_values(&x);
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for f in y.data() {
-            for b in f.to_bits().to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        (format!("{h:016x}"), e.stale_reads())
+        let mut h = Fnv1a::new();
+        y.data().iter().for_each(|f| h.u32(f.to_bits()));
+        (format!("{:016x}", h.finish()), e.stale_reads())
     })
 }
 

@@ -21,20 +21,15 @@ use mgg::gnn::reference::AggregateMode;
 use mgg::gnn::Matrix;
 use mgg::graph::generators::rmat::{rmat, RmatConfig};
 use mgg::runtime::profile::{collect, RuntimeProfile};
-use mgg::runtime::{par_map, with_threads};
+use mgg::runtime::{par_map, with_threads, Fnv1a};
 use mgg::sim::ClusterSpec;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
 fn fnv1a(bits: impl Iterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in bits {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    let mut h = Fnv1a::new();
+    bits.for_each(|v| h.u64(v));
+    h.finish()
 }
 
 proptest! {
