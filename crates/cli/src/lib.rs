@@ -416,6 +416,19 @@ fn parse_command(cmd: &str, positional: &[String], flags: &Flags) -> Result<Comm
             .map(|v| v.parse::<f64>().map_err(|_| format!("--{k} expects a number")))
             .unwrap_or(Ok(default))
     };
+    // Every modeled platform (DGX-A100, DGX-1, PCIe box) has 8 GPUs.
+    let get_gpus = || -> Result<usize, String> {
+        match get_usize("gpus", 8)? {
+            n @ 1..=8 => Ok(n),
+            n => Err(format!("--gpus must be 1..=8 on the modeled platforms, got {n}")),
+        }
+    };
+    let get_dim = || -> Result<usize, String> {
+        match get_usize("dim", 64)? {
+            0 => Err("--dim must be >= 1".into()),
+            d => Ok(d),
+        }
+    };
     let get_fault = |get_usize: &dyn Fn(&str, usize) -> Result<usize, String>,
                      get_f64: &dyn Fn(&str, f64) -> Result<f64, String>|
      -> Result<Option<FaultSpec>, String> {
@@ -483,7 +496,12 @@ fn parse_command(cmd: &str, positional: &[String], flags: &Flags) -> Result<Comm
                     .split_once(',')
                     .ok_or("--rmat expects <scale,edges>, e.g. 12,40000")?;
                 GraphSource::Rmat {
-                    scale: s.trim().parse().map_err(|_| "bad rmat scale")?,
+                    scale: s
+                        .trim()
+                        .parse()
+                        .ok()
+                        .filter(|s| (1..=30).contains(s))
+                        .ok_or("--rmat scale must be an integer in 1..=30")?,
                     edges: e.trim().parse().map_err(|_| "bad rmat edge count")?,
                     seed: get_usize("seed", 42)? as u64,
                 }
@@ -495,7 +513,10 @@ fn parse_command(cmd: &str, positional: &[String], flags: &Flags) -> Result<Comm
         "stats" => Ok(Command::Stats { graph: graph_path(positional)? }),
         "partition" => Ok(Command::Partition {
             graph: graph_path(positional)?,
-            gpus: get_usize("gpus", 8)?,
+            gpus: match get_usize("gpus", 8)? {
+                0 => return Err("--gpus must be >= 1".into()),
+                n => n,
+            },
             multilevel: flags.switch("multilevel"),
         }),
         "reorder" => Ok(Command::Reorder {
@@ -506,13 +527,13 @@ fn parse_command(cmd: &str, positional: &[String], flags: &Flags) -> Result<Comm
             communities: get_usize("communities", 8)?,
             size: get_usize("size", 150)?,
             epochs: get_usize("epochs", 80)?,
-            gpus: get_usize("gpus", 8)?,
+            gpus: get_gpus()?,
         }),
         "simulate" => {
             let engine = get_engine()?;
             let platform = get_platform()?;
             let fault = get_fault(&get_usize, &get_f64)?;
-            let gpus = get_usize("gpus", 8)?;
+            let gpus = get_gpus()?;
             let mut permanent = Vec::new();
             if let Some(spec) = flags.get("fault-gpu-fail") {
                 permanent.extend(parse_gpu_fail(spec, gpus)?);
@@ -541,7 +562,7 @@ fn parse_command(cmd: &str, positional: &[String], flags: &Flags) -> Result<Comm
             Ok(Command::Simulate {
                 graph: graph_path(positional)?,
                 gpus,
-                dim: get_usize("dim", 64)?,
+                dim: get_dim()?,
                 engine,
                 tune: flags.switch("tune"),
                 platform,
@@ -554,7 +575,7 @@ fn parse_command(cmd: &str, positional: &[String], flags: &Flags) -> Result<Comm
             })
         }
         "serve" => {
-            let gpus = get_usize("gpus", 8)?;
+            let gpus = get_gpus()?;
             let fault = get_fault(&get_usize, &get_f64)?;
             let mut permanent = Vec::new();
             if let Some(spec) = flags.get("fault-gpu-fail") {
@@ -684,7 +705,7 @@ fn parse_command(cmd: &str, positional: &[String], flags: &Flags) -> Result<Comm
             Ok(Command::Serve {
                 graph: graph_path(positional)?,
                 gpus,
-                dim: get_usize("dim", 64)?,
+                dim: get_dim()?,
                 platform: get_platform()?,
                 arrival,
                 qps,
@@ -705,8 +726,8 @@ fn parse_command(cmd: &str, positional: &[String], flags: &Flags) -> Result<Comm
         }
         "profile" => Ok(Command::Profile {
             graph: graph_path(positional)?,
-            gpus: get_usize("gpus", 8)?,
-            dim: get_usize("dim", 64)?,
+            gpus: get_gpus()?,
+            dim: get_dim()?,
             engine: get_engine()?,
             platform: get_platform()?,
             trace_out: flags.get("trace-out").map(PathBuf::from),
@@ -1492,6 +1513,30 @@ mod tests {
             let err = parse(&args(line)).unwrap_err();
             let cmd = line.split_whitespace().next().unwrap();
             assert_eq!(err, format!("unknown flag '{flag}' for {cmd}"), "{line}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_values_are_rejected_not_panicked() {
+        for (line, flag) in [
+            ("simulate g.csr --gpus 0", "--gpus"),
+            ("profile g.csr --gpus 0", "--gpus"),
+            ("partition g.csr --gpus 0", "--gpus"),
+            ("serve g.csr --gpus 0", "--gpus"),
+            ("train --gpus 0", "--gpus"),
+            ("simulate g.csr --gpus 9 --platform a100", "--gpus"),
+            ("serve g.csr --gpus 9 --platform v100", "--gpus"),
+            ("profile g.csr --gpus 9 --platform pcie", "--gpus"),
+            ("train --gpus 9", "--gpus"),
+            ("simulate g.csr --gpus 1000", "--gpus"),
+            ("simulate g.csr --dim 0 --engine mgg", "--dim"),
+            ("profile g.csr --dim 0", "--dim"),
+            ("serve g.csr --dim 0", "--dim"),
+            ("generate --rmat 0,0 -o g.csr", "--rmat"),
+            ("generate --rmat 40,10 -o g.csr", "--rmat"),
+        ] {
+            let err = parse(&args(line)).unwrap_err();
+            assert!(err.starts_with(flag), "{line}: {err}");
         }
     }
 

@@ -28,9 +28,6 @@ pub enum MggError {
     /// A live-graph delta batch references nodes outside the graph (the
     /// whole batch is rejected; nothing was applied).
     InvalidDelta(String),
-    /// An elastic-membership change was refused by its health gate (e.g.
-    /// re-joining a dead shard, or draining the last live one).
-    MembershipRejected(String),
 }
 
 impl fmt::Display for MggError {
@@ -42,7 +39,6 @@ impl fmt::Display for MggError {
             MggError::Shmem(e) => write!(f, "communication failure: {e}"),
             MggError::Unrecoverable(msg) => write!(f, "unrecoverable failure: {msg}"),
             MggError::InvalidDelta(msg) => write!(f, "invalid graph delta: {msg}"),
-            MggError::MembershipRejected(msg) => write!(f, "membership change rejected: {msg}"),
         }
     }
 }
@@ -85,8 +81,6 @@ mod tests {
         assert!(e.to_string().contains("unrecoverable"));
         let e = MggError::InvalidDelta("node 99 out of range".into());
         assert!(e.to_string().contains("invalid graph delta"));
-        let e = MggError::MembershipRejected("shard 2 is dead".into());
-        assert!(e.to_string().contains("rejected"));
     }
 
     #[test]

@@ -4,6 +4,13 @@
 //! simulated cluster into an [`Aggregator`] that GNN models consume:
 //! functional outputs match the CPU reference (up to floating-point
 //! reassociation) while timing comes from the discrete-event simulation.
+//!
+//! The functional value plane has four entry points (direct, per-edge
+//! weighted, resilient and cached) over one private row body; they differ
+//! only in how a remote neighbor's row is read, as MGG's kernel differs
+//! only in its remote GET.
+
+use std::convert::Infallible;
 
 use mgg_cache::{CacheConfig, CacheKey, CacheStats, EmbedCache};
 use mgg_churn::{apply_deltas, GraphDelta};
@@ -93,23 +100,6 @@ pub struct DeltaReport {
     pub edges_removed: u64,
 }
 
-/// What one elastic-membership change ([`MggEngine::drain_shard`] /
-/// [`MggEngine::rejoin_shard`]) migrated. Unlike a failure evacuation the
-/// migration is *planned*: it is cost-charged to the next simulation but
-/// loses nothing (no detection pass, no halted warps).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MembershipReport {
-    /// Embedding rows whose owner changed in the rebalance.
-    pub rows_moved: usize,
-    /// Bytes those rows represent at the migration dimension.
-    pub bytes_moved: u64,
-    /// Host-link cost of the migration, charged to the next simulation's
-    /// `recovery.recovery_latency_ns`.
-    pub migration_ns: u64,
-    /// Shards currently administratively down after the change.
-    pub admin_down: usize,
-}
-
 /// A neighbor reference from either virtual CSR, tagged by origin.
 #[derive(Clone, Copy)]
 enum Neighbor<'a> {
@@ -123,24 +113,36 @@ enum Neighbor<'a> {
 /// merge). Aggregating in this order makes functional outputs bit-identical
 /// across *any* node split — the invariant elastic failover leans on when
 /// it evacuates a dead GPU's shard: the recovered placement reproduces the
-/// fault-free run's floats exactly.
-fn merge_by_edge<'a>(
+/// fault-free run's floats exactly. The visitor is fallible so fetching
+/// paths can stop at the first failed GET; infallible visitors use
+/// [`Infallible`].
+fn merge_by_edge<'a, E>(
     local: &'a [LocalRef],
     remote: &'a [RemoteRef],
-    mut f: impl FnMut(Neighbor<'a>),
-) {
+    mut f: impl FnMut(Neighbor<'a>) -> Result<(), E>,
+) -> Result<(), E> {
     let (mut i, mut j) = (0, 0);
     while i < local.len() && j < remote.len() {
         if local[i].edge < remote[j].edge {
-            f(Neighbor::Local(&local[i]));
+            f(Neighbor::Local(&local[i]))?;
             i += 1;
         } else {
-            f(Neighbor::Remote(&remote[j]));
+            f(Neighbor::Remote(&remote[j]))?;
             j += 1;
         }
     }
-    local[i..].iter().for_each(|lr| f(Neighbor::Local(lr)));
-    remote[j..].iter().for_each(|rr| f(Neighbor::Remote(rr)));
+    local[i..].iter().try_for_each(|lr| f(Neighbor::Local(lr)))?;
+    remote[j..].iter().try_for_each(|rr| f(Neighbor::Remote(rr)))
+}
+
+/// Where the value plane's per-neighbor weight comes from.
+#[derive(Clone, Copy)]
+enum Weights<'a> {
+    /// The engine's [`AggregateMode`]: GCN normalization or unit weights,
+    /// then the mode's fix-ups (GCN self term, mean division).
+    Mode,
+    /// Explicit weights indexed by input-graph edge id (GAT), no fix-ups.
+    Edge(&'a [f32]),
 }
 
 /// Minimum output rows per parallel aggregation job. Below this, the
@@ -188,10 +190,6 @@ pub struct MggEngine {
     /// serving a stale embedding. Empty until the first delta batch —
     /// version 0 everywhere, the static-graph fast path.
     row_versions: Vec<u64>,
-    /// Shards administratively out of rotation (drained or left). Unlike
-    /// dead GPUs these are healthy and can re-join; the rebalance weights
-    /// treat both as zero-capacity.
-    admin_down: Vec<bool>,
     /// Checkpoint restores executed since the last simulation, merged into
     /// the next run's recovery stats (one-shot).
     checkpoint_restores: u64,
@@ -302,7 +300,6 @@ impl MggEngine {
             caches: Vec::new(),
             cache_dim: 0,
             row_versions: Vec::new(),
-            admin_down: Vec::new(),
             checkpoint_restores: 0,
             pending_restore_ns: 0,
             last_stats: None,
@@ -650,149 +647,6 @@ impl MggEngine {
         })
     }
 
-    /// Takes `shard` out of rotation as a *planned* migration: its rows
-    /// move to the remaining in-rotation shards via the same
-    /// health-weighted re-split the failover ladder uses for evacuation,
-    /// but nothing is lost and the cost is charged analytically (one
-    /// host-link transfer of the moved rows at dimension `dim`) to the
-    /// next simulation. Refused when it would leave no shard in rotation.
-    pub fn drain_shard(&mut self, shard: usize, dim: usize) -> Result<MembershipReport, MggError> {
-        self.set_admin_down(shard, true, dim)
-    }
-
-    /// Returns a drained shard to rotation, health-gated: a shard the
-    /// fault plane reports dead (or critically degraded) may not re-join.
-    /// The rebalance moves rows back onto it, cost-charged like
-    /// [`MggEngine::drain_shard`]; the caches keep serving (the moved
-    /// rows' keys are invalidated, resident survivors stay warm).
-    pub fn rejoin_shard(&mut self, shard: usize, dim: usize) -> Result<MembershipReport, MggError> {
-        if shard >= self.cluster.num_gpus() {
-            return Err(MggError::MembershipRejected(format!(
-                "shard {shard} does not exist (cluster has {})",
-                self.cluster.num_gpus()
-            )));
-        }
-        if let Some(sched) = self.cluster.faults() {
-            if sched.dead_gpus().contains(&shard) {
-                return Err(MggError::MembershipRejected(format!(
-                    "shard {shard} is dead; it cannot re-join"
-                )));
-            }
-            if sched.health(shard) < UVM_FALLBACK_HEALTH_THRESHOLD {
-                return Err(MggError::MembershipRejected(format!(
-                    "shard {shard} health {:.2} is below the re-join gate {:.2}",
-                    sched.health(shard),
-                    UVM_FALLBACK_HEALTH_THRESHOLD
-                )));
-            }
-        }
-        self.set_admin_down(shard, false, dim)
-    }
-
-    /// Shards currently administratively out of rotation.
-    pub fn admin_down(&self) -> Vec<usize> {
-        self.admin_down
-            .iter()
-            .enumerate()
-            .filter_map(|(g, &down)| down.then_some(g))
-            .collect()
-    }
-
-    fn set_admin_down(
-        &mut self,
-        shard: usize,
-        down: bool,
-        dim: usize,
-    ) -> Result<MembershipReport, MggError> {
-        let num_gpus = self.cluster.num_gpus();
-        if shard >= num_gpus {
-            return Err(MggError::MembershipRejected(format!(
-                "shard {shard} does not exist (cluster has {num_gpus})"
-            )));
-        }
-        if self.admin_down.len() < num_gpus {
-            self.admin_down.resize(num_gpus, false);
-        }
-        if self.admin_down[shard] == down {
-            // Idempotent: draining a drained shard (or re-joining an
-            // in-rotation one) moves nothing.
-            return Ok(MembershipReport {
-                admin_down: self.admin_down.iter().filter(|&&d| d).count(),
-                ..MembershipReport::default()
-            });
-        }
-        // Capacity weights fold administrative state into the same plane
-        // the failover ladder uses: dead or drained shards get zero,
-        // survivors their health. Refuse to drain the last live shard.
-        let sched = self.cluster.faults().cloned();
-        let weight = |g: usize| -> f64 {
-            let drained = if g == shard { down } else { self.admin_down[g] };
-            if drained {
-                return 0.0;
-            }
-            match &sched {
-                Some(s) if s.dead_gpus().contains(&g) => 0.0,
-                Some(s) => s.health(g).max(0.05),
-                None => 1.0,
-            }
-        };
-        let weights: Vec<f64> = (0..num_gpus).map(weight).collect();
-        if weights.iter().all(|&w| w <= 0.0) {
-            return Err(MggError::MembershipRejected(format!(
-                "draining shard {shard} would leave no shard in rotation"
-            )));
-        }
-        // Permanent failures not yet recovered need their relay routes
-        // before the rebalance claims the placement is fault-accurate.
-        if self.cluster.faults().is_some_and(FaultSchedule::has_permanent) && !self.replanned {
-            self.recover(dim)?;
-        }
-        self.admin_down[shard] = down;
-        let old_bounds = self.placement.split.bounds().to_vec();
-        self.replan_weighted(&weights);
-        // Planned-migration cost: rows whose owner changed cross the host
-        // link once (same analytic formula as a checkpoint restore).
-        let rows_moved = Self::rows_moved(&old_bounds, self.placement.split.bounds());
-        let bytes_moved = (rows_moved * dim * 4) as u64;
-        let host = &self.cluster.spec.host_link;
-        let migration_ns = if rows_moved > 0 {
-            host.latency_ns
-                + host.request_overhead_ns
-                + (bytes_moved as f64 / host.bw_gbps).ceil() as u64
-        } else {
-            0
-        };
-        self.pending_restore_ns += migration_ns;
-        self.telemetry.counter_add("churn.membership_changes", 1);
-        self.telemetry.counter_add("churn.rows_migrated", rows_moved as u64);
-        Ok(MembershipReport {
-            rows_moved,
-            bytes_moved,
-            migration_ns,
-            admin_down: self.admin_down.iter().filter(|&&d| d).count(),
-        })
-    }
-
-    /// Rows whose owning part changed between two bounds vectors over the
-    /// same node count: total nodes minus the per-part overlap of old and
-    /// new ranges.
-    fn rows_moved(old_bounds: &[u32], new_bounds: &[u32]) -> usize {
-        let n = *old_bounds.last().unwrap_or(&0) as usize;
-        let mut same = 0usize;
-        let mut old_start = 0u32;
-        let mut new_start = 0u32;
-        for (&oe, &ne) in old_bounds.iter().zip(new_bounds) {
-            let lo = old_start.max(new_start);
-            let hi = oe.min(ne);
-            if hi > lo {
-                same += (hi - lo) as usize;
-            }
-            old_start = oe;
-            new_start = ne;
-        }
-        n.saturating_sub(same)
-    }
-
     /// Stale-read detections summed over the per-GPU caches: accesses
     /// that found a resident row at the wrong version. Any non-zero value
     /// means a delta bypassed invalidation — the churn drills assert 0.
@@ -888,9 +742,9 @@ impl MggEngine {
             stats = recovered;
             trace = recovered_trace;
         }
-        if self.checkpoint_restores > 0 || self.pending_restore_ns > 0 {
-            // One-shot: resumed-from-checkpoint and planned-migration work
-            // is attributed to the first simulation after it.
+        if self.checkpoint_restores > 0 {
+            // One-shot: resumed-from-checkpoint work is attributed to the
+            // first simulation after it.
             stats.recovery.checkpoint_restores += self.checkpoint_restores;
             stats.recovery.recovery_latency_ns += self.pending_restore_ns;
             tel.counter_add("engine.checkpoint_restores", self.checkpoint_restores);
@@ -998,74 +852,49 @@ impl MggEngine {
     /// kernel would produce, using the locality-split virtual CSRs and the
     /// symmetric-heap addressing.
     pub fn aggregate_values(&self, x: &Matrix) -> Matrix {
+        self.aggregate_rows(x, Weights::Mode, "engine.aggregate")
+    }
+
+    /// Aggregates `x` with per-edge weights indexed by the input graph's
+    /// flat adjacency (see `mgg_graph::partition::locality`'s edge ids).
+    /// No mode fix-ups apply: this is GAT's attention-weighted sum.
+    pub fn aggregate_values_weighted(&self, x: &Matrix, w: &[f32]) -> Matrix {
+        self.aggregate_rows(x, Weights::Edge(w), "engine.aggregate_weighted")
+    }
+
+    /// Row-chunk driver of the two direct paths, which read remote rows
+    /// from the symmetric heap in place. Jobs are contiguous row ranges
+    /// sized to `rows / threads` with a minimum-work floor (one job per
+    /// partition underfills wide pools and overfills small graphs with
+    /// spawn overhead). Each row is computed exactly as in a serial loop —
+    /// chunk boundaries never enter the math — so the result is
+    /// bit-identical at any thread count.
+    fn aggregate_rows(&self, x: &Matrix, weights: Weights<'_>, label: &'static str) -> Matrix {
         let dim = x.cols();
-        let region = self.placement.place_embeddings(x);
         let mut out = Matrix::zeros(x.rows(), dim);
         if x.rows() == 0 || dim == 0 {
             return out;
         }
-        // Row-chunk decomposition at pool granularity: jobs are contiguous
-        // row ranges sized to `rows / threads` with a minimum-work floor
-        // (one job per partition underfills wide pools and overfills small
-        // graphs with spawn overhead). Each row is computed exactly as in
-        // the serial loop — chunk boundaries never enter the math — so the
-        // result is bit-identical at any thread count.
+        let region = self.placement.place_embeddings(x);
+        let region = &region;
+        let parts = &self.placement.parts;
         let chunk_rows = mgg_runtime::chunk_len(x.rows(), MIN_AGG_ROWS_PER_JOB);
         let slices: Vec<&mut [f32]> = out.data_mut().chunks_mut(chunk_rows * dim).collect();
-        let region = &region;
-        let _lbl = mgg_runtime::profile::region_label("engine.aggregate");
+        let _lbl = mgg_runtime::profile::region_label(label);
         mgg_runtime::par_slices_mut(slices, |ci, out_chunk| {
             let first = ci * chunk_rows;
             let mut pi = self.part_of(first);
             for (k, dst) in out_chunk.chunks_mut(dim).enumerate() {
                 let v = first + k;
-                while self.placement.parts[pi].node_range.end as usize <= v {
+                while parts[pi].node_range.end as usize <= v {
                     pi += 1;
                 }
-                let part = &self.placement.parts[pi];
-                let base = part.node_range.start as usize;
-                let r = (v - base) as u32;
-                // Local (device memory) and remote (symmetric heap)
-                // neighbors, summed in the input graph's edge order.
-                merge_by_edge(part.local.row(r), part.remote.row(r), |nb| {
-                    let (w, src) = match nb {
-                        Neighbor::Local(lr) => (
-                            self.weight(v, base + lr.local as usize),
-                            region.row(part.pe, lr.local),
-                        ),
-                        Neighbor::Remote(rr) => {
-                            let owner_base =
-                                self.placement.split.range(rr.owner as usize).start;
-                            (
-                                self.weight(v, (owner_base + rr.local) as usize),
-                                region.row(rr.owner as usize, rr.local),
-                            )
-                        }
-                    };
-                    for (d, &s) in dst.iter_mut().zip(src) {
-                        *d += w * s;
-                    }
+                let part = &parts[pi];
+                let r = (v - part.node_range.start as usize) as u32;
+                let Ok(()) = self.row(region, part, r, weights, dst, |dst, w, rr| {
+                    axpy(dst, w, region.row(rr.owner as usize, rr.local));
+                    Ok::<_, Infallible>(())
                 });
-                // Mode-specific fixups.
-                match self.mode {
-                    AggregateMode::GcnNorm => {
-                        // Self-loop term of \hat{A}.
-                        let w = self.norm[v] * self.norm[v];
-                        for (d, &s) in dst.iter_mut().zip(x.row(v)) {
-                            *d += w * s;
-                        }
-                    }
-                    AggregateMode::Mean => {
-                        let deg = part.local.row(r).len() + part.remote.row(r).len();
-                        if deg > 0 {
-                            let inv = 1.0 / deg as f32;
-                            for d in dst.iter_mut() {
-                                *d *= inv;
-                            }
-                        }
-                    }
-                    AggregateMode::Sum => {}
-                }
             }
         });
         out
@@ -1090,18 +919,23 @@ impl MggEngine {
         x: &Matrix,
     ) -> Result<(Matrix, ResilienceStats), MggError> {
         let dim = x.cols();
+        let mut out = Matrix::zeros(x.rows(), dim);
+        if x.rows() == 0 || dim == 0 {
+            return Ok((out, ResilienceStats::default()));
+        }
         let region = self.placement.place_embeddings(x);
         let mut resilient = ResilientRegion::new(&region, self.cluster.faults())
             .with_telemetry(self.telemetry.clone());
-        let mut out = Matrix::zeros(x.rows(), dim);
         let mut fetched = vec![0.0f32; dim];
         for part in &self.placement.parts {
             let base = part.node_range.start as usize;
             for r in 0..part.local.num_rows() as u32 {
                 let v = base + r as usize;
                 let dst = &mut out.data_mut()[v * dim..(v + 1) * dim];
-                self.fallible_row(x, &region, part, r, dst, &mut fetched, |buf, rr| {
-                    resilient.get_nbi(buf, part.pe, rr.owner as usize, rr.local)
+                self.row(&region, part, r, Weights::Mode, dst, |dst, w, rr| {
+                    resilient
+                        .get_nbi(&mut fetched, part.pe, rr.owner as usize, rr.local)
+                        .map(|()| axpy(dst, w, &fetched))
                 })?;
                 resilient.quiet(part.pe)?;
             }
@@ -1124,6 +958,9 @@ impl MggEngine {
     /// share residency with the timing-plane caches).
     pub fn aggregate_values_cached(&self, x: &Matrix) -> Result<(Matrix, CacheStats), MggError> {
         let dim = x.cols();
+        if x.rows() == 0 || dim == 0 {
+            return Ok((Matrix::zeros(x.rows(), dim), CacheStats::default()));
+        }
         let cfg = self
             .cache_cfg
             .unwrap_or(CacheConfig { capacity_bytes: 0, policy: mgg_cache::CachePolicy::Lru });
@@ -1134,22 +971,23 @@ impl MggEngine {
         // One job per partition, each with its own issuing-PE cache over
         // the shared region; parts are merged back in index order, so the
         // output layout matches `aggregate_values` exactly. Unlike the
-        // pure paths this one deliberately stays at partition granularity:
-        // cache residency is per issuing PE, and thread-count-dependent
-        // row chunks would make the returned hit/miss counters vary with
-        // the pool width (values would not, but stats determinism is part
-        // of this path's contract).
+        // direct paths this one deliberately stays at partition
+        // granularity: cache residency is per issuing PE, and
+        // thread-count-dependent row chunks would make the returned
+        // hit/miss counters vary with the pool width (values would not,
+        // but stats determinism is part of this path's contract).
         let _lbl = mgg_runtime::profile::region_label("engine.aggregate_cached");
         let results = mgg_runtime::par_map_indexed(parts.len(), |pi| {
             let part = &parts[pi];
             let mut cached = CachedRegion::new(region, faults, cfg, dim);
             let mut out_part = vec![0.0f32; part.local.num_rows() * dim];
             let mut fetched = vec![0.0f32; dim];
-            for r in 0..part.local.num_rows() {
-                let dst = &mut out_part[r * dim..(r + 1) * dim];
+            for (r, dst) in out_part.chunks_mut(dim).enumerate() {
                 cached.begin_batch(part.pe);
-                self.fallible_row(x, region, part, r as u32, dst, &mut fetched, |buf, rr| {
-                    cached.get_nbi(buf, part.pe, rr.owner as usize, rr.local)
+                self.row(region, part, r as u32, Weights::Mode, dst, |dst, w, rr| {
+                    cached
+                        .get_nbi(&mut fetched, part.pe, rr.owner as usize, rr.local)
+                        .map(|()| axpy(dst, w, &fetched))
                 })?;
                 cached.quiet(part.pe)?;
             }
@@ -1166,66 +1004,71 @@ impl MggEngine {
         Ok((Matrix::from_vec(x.rows(), dim, out), stats))
     }
 
-    /// One destination row of the fallible value-plane loops
-    /// ([`MggEngine::aggregate_values_resilient`] and
-    /// [`MggEngine::aggregate_values_cached`]): local and remote neighbors
-    /// summed into `dst` in the input graph's edge order, each remote row
-    /// fetched into the `fetched` staging buffer by `fetch`, then the
-    /// mode-specific fix-ups. The caller settles the row's non-blocking
-    /// fetches (`quiet`) afterwards; the fix-ups touch only `dst`, so that
-    /// order is invisible in both values and counters.
-    #[allow(clippy::too_many_arguments)]
-    fn fallible_row<E>(
+    /// One destination row of every value-plane path: the row's local and
+    /// remote neighbors summed into `dst` in the input graph's edge order,
+    /// each scaled by its [`Weights`] entry, then (under
+    /// [`Weights::Mode`]) the mode fix-ups. Local rows are read from the
+    /// owning PE's symmetric-heap partition; each remote neighbor goes to
+    /// `remote(dst, w, rr)`, which adds `w` times row `rr` into `dst` —
+    /// the one step the paths do differently (in-place heap read,
+    /// resilient GET, cached GET). Callers settle non-blocking fetches
+    /// (`quiet`) afterwards; the fix-ups touch only `dst`, so that order
+    /// is invisible in both values and counters.
+    fn row<E>(
         &self,
-        x: &Matrix,
         region: &SymmetricRegion,
         part: &LocalityPartition,
         r: u32,
+        weights: Weights<'_>,
         dst: &mut [f32],
-        fetched: &mut [f32],
-        mut fetch: impl FnMut(&mut [f32], &RemoteRef) -> Result<(), E>,
+        mut remote: impl FnMut(&mut [f32], f32, &RemoteRef) -> Result<(), E>,
     ) -> Result<(), E> {
-        let base = part.node_range.start as usize;
-        let v = base + r as usize;
-        // Same edge-order merge as `aggregate_values`; remote fetches are
-        // fallible, so the merged order is materialized instead of visited
-        // by closure.
-        let mut merged = Vec::with_capacity(part.local.row(r).len() + part.remote.row(r).len());
-        merge_by_edge(part.local.row(r), part.remote.row(r), |nb| merged.push(nb));
-        for nb in merged {
-            let (w, src): (f32, &[f32]) = match nb {
-                Neighbor::Local(lr) => {
-                    (self.weight(v, base + lr.local as usize), region.row(part.pe, lr.local))
-                }
-                Neighbor::Remote(rr) => {
-                    let owner_base = self.placement.split.range(rr.owner as usize).start;
-                    fetch(fetched, rr)?;
-                    (self.weight(v, (owner_base + rr.local) as usize), fetched)
-                }
+        let v = part.node_range.start as usize + r as usize;
+        let (local, remotes) = (part.local.row(r), part.remote.row(r));
+        merge_by_edge(local, remotes, |nb| {
+            let (edge, u) = self.endpoints(part, nb);
+            let w = match weights {
+                Weights::Mode => self.weight(v, u),
+                Weights::Edge(w) => w[edge as usize],
             };
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d += w * s;
-            }
-        }
-        match self.mode {
-            AggregateMode::GcnNorm => {
-                let w = self.norm[v] * self.norm[v];
-                for (d, &s) in dst.iter_mut().zip(x.row(v)) {
-                    *d += w * s;
+            match nb {
+                Neighbor::Local(lr) => {
+                    axpy(dst, w, region.row(part.pe, lr.local));
+                    Ok(())
                 }
+                Neighbor::Remote(rr) => remote(dst, w, rr),
             }
-            AggregateMode::Mean => {
-                let deg = part.local.row(r).len() + part.remote.row(r).len();
-                if deg > 0 {
-                    let inv = 1.0 / deg as f32;
-                    for d in dst {
-                        *d *= inv;
+        })?;
+        if let Weights::Mode = weights {
+            match self.mode {
+                // Self-loop term of \hat{A}; row `r` of the owning PE is
+                // `x[v]`.
+                AggregateMode::GcnNorm => {
+                    axpy(dst, self.norm[v] * self.norm[v], region.row(part.pe, r))
+                }
+                AggregateMode::Mean => {
+                    let deg = local.len() + remotes.len();
+                    if deg > 0 {
+                        let inv = 1.0 / deg as f32;
+                        dst.iter_mut().for_each(|d| *d *= inv);
                     }
                 }
+                AggregateMode::Sum => {}
             }
-            AggregateMode::Sum => {}
         }
         Ok(())
+    }
+
+    /// A neighbor's input-graph edge id and global node id.
+    #[inline]
+    fn endpoints(&self, part: &LocalityPartition, nb: Neighbor<'_>) -> (u32, usize) {
+        match nb {
+            Neighbor::Local(lr) => (lr.edge, part.node_range.start as usize + lr.local as usize),
+            Neighbor::Remote(rr) => {
+                let owner_base = self.placement.split.range(rr.owner as usize).start;
+                (rr.edge, (owner_base + rr.local) as usize)
+            }
+        }
     }
 
     #[inline]
@@ -1238,48 +1081,11 @@ impl MggEngine {
     }
 }
 
-/// Pure edge-weighted aggregation (no mode fixups): used by GAT.
-impl MggEngine {
-    /// Aggregates `x` with per-edge weights indexed by the input graph's
-    /// flat adjacency (see `mgg_graph::partition::locality`'s edge ids).
-    pub fn aggregate_values_weighted(&self, x: &Matrix, w: &[f32]) -> Matrix {
-        let dim = x.cols();
-        let region = self.placement.place_embeddings(x);
-        let mut out = Matrix::zeros(x.rows(), dim);
-        if x.rows() == 0 || dim == 0 {
-            return out;
-        }
-        // Same row-chunk parallel decomposition as `aggregate_values`.
-        let chunk_rows = mgg_runtime::chunk_len(x.rows(), MIN_AGG_ROWS_PER_JOB);
-        let slices: Vec<&mut [f32]> = out.data_mut().chunks_mut(chunk_rows * dim).collect();
-        let region = &region;
-        let _lbl = mgg_runtime::profile::region_label("engine.aggregate_weighted");
-        mgg_runtime::par_slices_mut(slices, |ci, out_chunk| {
-            let first = ci * chunk_rows;
-            let mut pi = self.part_of(first);
-            for (k, dst) in out_chunk.chunks_mut(dim).enumerate() {
-                let v = first + k;
-                while self.placement.parts[pi].node_range.end as usize <= v {
-                    pi += 1;
-                }
-                let part = &self.placement.parts[pi];
-                let r = (v - part.node_range.start as usize) as u32;
-                merge_by_edge(part.local.row(r), part.remote.row(r), |nb| {
-                    let (weight, src) = match nb {
-                        Neighbor::Local(lr) => {
-                            (w[lr.edge as usize], region.row(part.pe, lr.local))
-                        }
-                        Neighbor::Remote(rr) => {
-                            (w[rr.edge as usize], region.row(rr.owner as usize, rr.local))
-                        }
-                    };
-                    for (d, &s) in dst.iter_mut().zip(src) {
-                        *d += weight * s;
-                    }
-                });
-            }
-        });
-        out
+/// `dst += w * src`, elementwise.
+#[inline]
+fn axpy(dst: &mut [f32], w: f32, src: &[f32]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += w * s;
     }
 }
 
@@ -1310,16 +1116,10 @@ impl mgg_gnn::gat::GatBackend for MggEngine {
                 );
                 // Edge-order merge keeps the softmax reduction order (and
                 // so the weights, bitwise) independent of the node split.
-                merge_by_edge(part.local.row(r), part.remote.row(r), |nb| match nb {
-                    Neighbor::Local(lr) => {
-                        let u = base + lr.local as usize;
-                        entries.push((lr.edge, leaky(s_dst[v] + s_src[u])));
-                    }
-                    Neighbor::Remote(rr) => {
-                        let u = (self.placement.split.range(rr.owner as usize).start
-                            + rr.local) as usize;
-                        entries.push((rr.edge, leaky(s_dst[v] + s_src[u])));
-                    }
+                let Ok(()) = merge_by_edge(part.local.row(r), part.remote.row(r), |nb| {
+                    let (edge, u) = self.endpoints(part, nb);
+                    entries.push((edge, leaky(s_dst[v] + s_src[u])));
+                    Ok::<_, Infallible>(())
                 });
                 if entries.is_empty() {
                     continue;
@@ -1380,17 +1180,31 @@ mod tests {
     #[test]
     fn values_match_reference_all_modes() {
         let g = graph();
-        let x = features(g.num_nodes(), 17);
-        for mode in [AggregateMode::Sum, AggregateMode::Mean, AggregateMode::GcnNorm] {
-            let engine =
-                MggEngine::new(&g, ClusterSpec::dgx_a100(4), MggConfig::default_fixed(), mode);
-            let got = engine.aggregate_values(&x);
-            let want = aggregate(&g, &x, mode);
-            assert!(
-                got.max_abs_diff(&want) < 1e-3,
-                "mode {mode:?}: diff {}",
-                got.max_abs_diff(&want)
-            );
+        let ones = vec![1.0f32; g.num_edges()];
+        // dim 0 is the empty input: every path returns an empty matrix.
+        for dim in [17, 0] {
+            let x = features(g.num_nodes(), dim);
+            for mode in [AggregateMode::Sum, AggregateMode::Mean, AggregateMode::GcnNorm] {
+                let engine =
+                    MggEngine::new(&g, ClusterSpec::dgx_a100(4), MggConfig::default_fixed(), mode);
+                let got = engine.aggregate_values(&x);
+                let want = aggregate(&g, &x, mode);
+                assert_eq!((got.rows(), got.cols()), (g.num_nodes(), dim));
+                assert!(
+                    got.max_abs_diff(&want) < 1e-3,
+                    "mode {mode:?} dim {dim}: diff {}",
+                    got.max_abs_diff(&want)
+                );
+                // Every other path runs the same row body: same bits.
+                let (resilient, _) = engine.aggregate_values_resilient(&x).unwrap();
+                let (cached, _) = engine.aggregate_values_cached(&x).unwrap();
+                assert_eq!(resilient.data(), got.data(), "resilient, mode {mode:?} dim {dim}");
+                assert_eq!(cached.data(), got.data(), "cached, mode {mode:?} dim {dim}");
+                if mode == AggregateMode::Sum {
+                    let weighted = engine.aggregate_values_weighted(&x, &ones);
+                    assert_eq!(weighted.data(), got.data(), "unit weights, dim {dim}");
+                }
+            }
         }
     }
 
@@ -2090,71 +1904,9 @@ mod tests {
     }
 
     #[test]
-    fn drain_leave_join_cycle_is_loss_free_and_cost_charged() {
-        let g = graph();
-        let x = features(g.num_nodes(), 16);
-        let mut e = MggEngine::new(
-            &g,
-            ClusterSpec::dgx_a100(4),
-            MggConfig::default_fixed(),
-            AggregateMode::Sum,
-        );
-        let healthy = e.aggregate_values(&x);
-        let report = e.drain_shard(2, 16).unwrap();
-        assert!(report.rows_moved > 0);
-        assert!(report.migration_ns > 0);
-        assert_eq!(report.admin_down, 1);
-        assert_eq!(e.placement.split.part_nodes(2), 0, "drained shard owns nothing");
-        assert_eq!(e.admin_down(), vec![2]);
-        // Planned migration: values survive bit-exact, and the migration
-        // cost lands on the next simulation's recovery ledger.
-        assert_eq!(e.aggregate_values(&x).data(), healthy.data());
-        let stats = e.simulate_aggregation(16).unwrap();
-        assert!(stats.recovery.recovery_latency_ns >= report.migration_ns);
-        // Drain is idempotent.
-        assert_eq!(e.drain_shard(2, 16).unwrap().rows_moved, 0);
-        // Re-join moves rows back; values still exact.
-        let back = e.rejoin_shard(2, 16).unwrap();
-        assert!(back.rows_moved > 0);
-        assert_eq!(back.admin_down, 0);
-        assert!(e.placement.split.part_nodes(2) > 0, "re-joined shard owns rows again");
-        assert_eq!(e.aggregate_values(&x).data(), healthy.data());
-    }
-
-    #[test]
-    fn membership_gates_refuse_unsafe_changes() {
-        let g = graph();
-        let mut e = MggEngine::new(
-            &g,
-            ClusterSpec::dgx_a100(2),
-            MggConfig::default_fixed(),
-            AggregateMode::Sum,
-        );
-        // Dead shards may not re-join.
-        e.install_fault_schedule(FaultSchedule::gpu_failure(2, 1, 1_000));
-        e.drain_shard(1, 16).unwrap_or_else(|_| MembershipReport::default());
-        match e.rejoin_shard(1, 16) {
-            Err(MggError::MembershipRejected(msg)) => assert!(msg.contains("dead"), "{msg}"),
-            other => panic!("expected MembershipRejected, got {other:?}"),
-        }
-        // Draining the last live shard is refused.
-        match e.drain_shard(0, 16) {
-            Err(MggError::MembershipRejected(msg)) => {
-                assert!(msg.contains("no shard"), "{msg}")
-            }
-            other => panic!("expected MembershipRejected, got {other:?}"),
-        }
-        // Nonexistent shards are typed errors, not panics.
-        assert!(matches!(
-            e.rejoin_shard(7, 16),
-            Err(MggError::MembershipRejected(_))
-        ));
-    }
-
-    #[test]
     fn invalidation_audit_every_replan_path_starts_cold() {
         // The invalidation audit: every path that re-maps (PE, row)
-        // addresses — set_config(ps), resume, recover, drain — must leave
+        // addresses — set_config(ps), resume, recover — must leave
         // the cache cold (first-touch misses reappear), while a fence
         // that touches nothing keeps it warm.
         let g = graph();
@@ -2202,10 +1954,6 @@ mod tests {
             e.recover(32).unwrap();
         });
         assert!(after_recover >= cold_misses, "recover must flush even reroute-only");
-        let after_drain = run_after(&|e| {
-            e.drain_shard(3, 32).unwrap();
-        });
-        assert!(after_drain >= warm, "drain re-maps addresses and must not serve stale rows");
     }
 }
 
@@ -2226,9 +1974,11 @@ mod gat_tests {
             MggConfig::default_fixed(),
             AggregateMode::Sum,
         );
-        let got = engine.aggregate_values_weighted(&x, &w);
         let want = mgg_gnn::reference::aggregate_edge_weighted(&g, &x, &w);
-        assert!(got.max_abs_diff(&want) < 1e-4, "diff {}", got.max_abs_diff(&want));
+        for t in [1, 2, 4, 7] {
+            let got = mgg_runtime::with_threads(t, || engine.aggregate_values_weighted(&x, &w));
+            assert_eq!(got.data(), want.data(), "weighted values differ at {t} threads");
+        }
     }
 
     #[test]

@@ -123,26 +123,38 @@ fn test_engine() -> (mgg::graph::CsrGraph, Matrix) {
     (g, x)
 }
 
-/// Engine aggregation — the per-partition fan-out inside
-/// `MggEngine::aggregate_values` — produces bit-identical floats at every
-/// thread count, for every aggregation mode.
+/// Engine aggregation — the row-chunk fan-out inside
+/// `MggEngine::aggregate_values` and `aggregate_values_weighted` — produces
+/// bit-identical floats at every thread count, for every aggregation mode
+/// and for per-edge weights.
 #[test]
 fn engine_aggregation_is_bit_identical_across_threads() {
     let (g, x) = test_engine();
-    for mode in [AggregateMode::Sum, AggregateMode::Mean, AggregateMode::GcnNorm] {
-        let engine =
-            MggEngine::new(&g, ClusterSpec::dgx_a100(4), MggConfig::default_fixed(), mode);
-        let seq = with_threads(1, || engine.aggregate_values(&x));
+    let check = |label: &str, run: &dyn Fn() -> Matrix| {
+        let seq = with_threads(1, run);
         for t in THREAD_COUNTS {
-            let par = with_threads(t, || engine.aggregate_values(&x));
+            let par = with_threads(t, run);
             let same = seq
                 .data()
                 .iter()
                 .zip(par.data())
                 .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "aggregation diverged at {t} threads ({mode:?})");
+            assert!(same, "aggregation diverged at {t} threads ({label})");
         }
+    };
+    for mode in [AggregateMode::Sum, AggregateMode::Mean, AggregateMode::GcnNorm] {
+        let engine =
+            MggEngine::new(&g, ClusterSpec::dgx_a100(4), MggConfig::default_fixed(), mode);
+        check(&format!("{mode:?}"), &|| engine.aggregate_values(&x));
     }
+    let w: Vec<f32> = (0..g.num_edges()).map(|i| ((i % 11) as f32) / 10.0).collect();
+    let engine = MggEngine::new(
+        &g,
+        ClusterSpec::dgx_a100(4),
+        MggConfig::default_fixed(),
+        AggregateMode::Sum,
+    );
+    check("per-edge weights", &|| engine.aggregate_values_weighted(&x, &w));
 }
 
 /// Simulated kernel statistics are a pure function of the workload, not of
