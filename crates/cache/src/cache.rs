@@ -152,8 +152,10 @@ impl EmbedCache {
     }
 
     /// True while the thrash guard is refusing admissions (always `false`
-    /// for caches built without the guard).
-    pub fn thrash_bypassing(&self) -> bool {
+    /// for caches built without the guard). A test-only window onto the
+    /// guard's state.
+    #[cfg(test)]
+    fn thrash_bypassing(&self) -> bool {
         self.guard.is_some_and(|g| g.bypassing())
     }
 
@@ -329,8 +331,7 @@ impl EmbedCache {
         }
     }
 
-    /// Counters accumulated since construction (or the last
-    /// [`EmbedCache::reset_stats`]).
+    /// Counters accumulated since construction.
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
@@ -343,11 +344,6 @@ impl EmbedCache {
     /// counter, and `CacheStats` is serialized into committed baselines).
     pub fn stale_hits(&self) -> u64 {
         self.stale
-    }
-
-    /// Zeroes the counters without touching resident keys.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     /// Refreshes `slot`'s eviction priority after a hit.

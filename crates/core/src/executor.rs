@@ -339,11 +339,6 @@ impl MggEngine {
         self.cache_dim = 0;
     }
 
-    /// The active cache configuration, if caching is enabled.
-    pub fn cache_config(&self) -> Option<CacheConfig> {
-        self.cache_cfg
-    }
-
     /// Drops all cached rows (counters survive). This is the invalidation
     /// hook of the recovery ladder: any event that re-plans placement or
     /// changes fault state re-maps `(PE, row)` addresses, so the engine

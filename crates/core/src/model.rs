@@ -69,12 +69,6 @@ impl AnalyticalModel {
             + 2 * cfg.wpb as u64 * self.dim as u64 * FLOAT_S
     }
 
-    /// Listing 2's (larger) shared-memory size, kept for reference.
-    pub fn smem_bytes_listing2(&self, cfg: &MggConfig) -> u64 {
-        cfg.ps as u64 * cfg.wpb as u64 * INT_S
-            + 2 * cfg.ps as u64 * cfg.wpb as u64 * self.dim as u64 * FLOAT_S
-    }
-
     /// Equations 2–3 for a given per-GPU partition census.
     pub fn estimate(&self, cfg: &MggConfig, local: usize, remote: usize) -> ModelEstimate {
         let num_warps = local.max(remote).div_ceil(cfg.dist.max(1) as usize) as u64;
@@ -126,13 +120,6 @@ mod tests {
         let m = model();
         let cfg = MggConfig { ps: 16, dist: 1, wpb: 2 };
         assert_eq!(m.smem_bytes(&cfg), 16 * 2 * 4 + 2 * 2 * 602 * 4);
-    }
-
-    #[test]
-    fn listing2_is_larger() {
-        let m = model();
-        let cfg = MggConfig { ps: 16, dist: 1, wpb: 2 };
-        assert!(m.smem_bytes_listing2(&cfg) > m.smem_bytes(&cfg));
     }
 
     #[test]

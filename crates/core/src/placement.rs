@@ -50,13 +50,6 @@ impl HybridPlacement {
         SymmetricRegion::scatter_rows(x.data(), &self.rows_per_pe, x.cols())
     }
 
-    /// Gathers a symmetric region back into a dense matrix (host-side
-    /// readback after the kernel).
-    pub fn gather_embeddings(&self, region: &SymmetricRegion) -> Matrix {
-        let total: usize = self.rows_per_pe.iter().sum();
-        Matrix::from_vec(total, region.dim(), region.gather_rows())
-    }
-
     /// Bytes of embedding storage each GPU's symmetric-heap partition
     /// needs at dimension `dim` (rows x dim x 4).
     pub fn embedding_bytes_per_gpu(&self, dim: usize) -> Vec<u64> {
@@ -127,7 +120,7 @@ mod tests {
         let p = HybridPlacement::plan(&g, 3);
         let x = Matrix::glorot(10, 4, 7);
         let region = p.place_embeddings(&x);
-        let back = p.gather_embeddings(&region);
+        let back = Matrix::from_vec(10, 4, region.gather_rows());
         assert_eq!(back, x);
     }
 

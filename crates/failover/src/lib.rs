@@ -72,17 +72,6 @@ impl MonitorPolicy {
     }
 }
 
-/// Liveness classification of one GPU at the observation horizon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GpuStatus {
-    /// Heartbeats current; full participant.
-    Alive,
-    /// Missed enough heartbeats to cross `suspect_phi` but not `dead_phi`.
-    Suspected,
-    /// Crossed `dead_phi`; shard must be evacuated.
-    Dead,
-}
-
 /// Deterministic snapshot of cluster health at a given horizon.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterView {
@@ -103,14 +92,6 @@ impl ClusterView {
         self.alive.len() + self.suspected.len() + self.dead.len()
     }
 
-    /// True when every GPU is alive and every link usable for its size.
-    pub fn all_healthy(&self) -> bool {
-        let n = self.num_gpus();
-        self.dead.is_empty()
-            && self.suspected.is_empty()
-            && self.usable_links.len() == n * n.saturating_sub(1) / 2
-    }
-
     /// Whether `gpu` is declared dead.
     pub fn is_dead(&self, gpu: usize) -> bool {
         self.dead.binary_search(&gpu).is_ok()
@@ -129,15 +110,6 @@ impl ClusterView {
             self.alive.iter().chain(self.suspected.iter()).copied().collect();
         s.sort_unstable();
         s
-    }
-
-    /// Survivors minus administratively-down shards, ascending — the set
-    /// actually taking traffic under elastic membership. A drained shard
-    /// is healthy (its links still relay traffic, unlike a dead GPU's);
-    /// it just holds no rows, so rebalance and admission planes must plan
-    /// around this set, not [`ClusterView::survivors`].
-    pub fn rotation(&self, admin_down: &[usize]) -> Vec<usize> {
-        self.survivors().into_iter().filter(|g| !admin_down.contains(g)).collect()
     }
 }
 
@@ -326,7 +298,6 @@ mod tests {
         assert_eq!(view.alive, vec![0, 1, 2, 3]);
         assert!(view.dead.is_empty() && view.suspected.is_empty());
         assert_eq!(view.usable_links.len(), 6);
-        assert!(view.all_healthy());
         assert_eq!(m.detection_horizon_ns(&sched), None);
     }
 
@@ -417,20 +388,6 @@ mod tests {
         let p = MonitorPolicy::default();
         // ceil(3.0 / 0.8) = 4 missed periods.
         assert_eq!(p.detection_delay_ns(), 4 * p.heartbeat_ns);
-    }
-
-    #[test]
-    fn rotation_excludes_admin_down_but_keeps_them_as_survivors() {
-        let m = HealthMonitor::with_defaults(4);
-        let sched = FaultSchedule::gpu_failure(4, 2, 0);
-        let v = m.observe(&sched, 100_000);
-        assert_eq!(v.survivors(), vec![0, 1, 3]);
-        // Draining shard 1 removes it from rotation without declaring it dead.
-        assert_eq!(v.rotation(&[1]), vec![0, 3]);
-        assert_eq!(v.survivors(), vec![0, 1, 3], "drain must not change survivorship");
-        // Admin-down on an already-dead shard is a no-op.
-        assert_eq!(v.rotation(&[2]), vec![0, 1, 3]);
-        assert_eq!(v.rotation(&[]), v.survivors());
     }
 
     #[test]

@@ -13,7 +13,11 @@
 //! * [`sampling`] — uniform neighbor sampling (the "GNN w/ sampling"
 //!   column of Table 5);
 //! * [`train`] — full-batch GCN training with hand-derived gradients and
-//!   Adam, used to measure the accuracy-latency tradeoff of Table 5;
+//!   Adam, used to measure the accuracy-latency tradeoff of Table 5, on
+//!   the reference or on a distributed engine;
+//! * [`gat`] — the GAT forward pass (distributed attention scores plus
+//!   weighted aggregation), the edge-property case §5 cites GIN as the
+//!   reference architecture for;
 //! * [`features`] — label-correlated synthetic node features so the
 //!   classification task is learnable on the synthetic graphs.
 
@@ -21,7 +25,6 @@
 
 pub mod features;
 pub mod gat;
-pub mod inference;
 pub mod models;
 pub mod reference;
 pub mod sampling;

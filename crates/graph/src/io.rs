@@ -1,7 +1,6 @@
 //! Plain-text edge-list I/O, for users who want to bring real graphs.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::path::Path;
 
 use crate::builder::GraphBuilder;
 use crate::csr::{CsrGraph, NodeId};
@@ -78,11 +77,6 @@ pub fn write_edge_list<W: Write>(graph: &CsrGraph, writer: W) -> Result<(), IoEr
     }
     bw.flush()?;
     Ok(())
-}
-
-/// Convenience wrapper reading from a file path.
-pub fn load_edge_list(path: &Path) -> Result<CsrGraph, IoError> {
-    read_edge_list(std::fs::File::open(path)?, 0)
 }
 
 #[cfg(test)]
@@ -267,5 +261,53 @@ mod binary_tests {
         // Corrupt a row pointer (bytes after magic + 2 u64 header words).
         buf[8 + 16 + 9] = 0xFF;
         assert!(read_csr_binary(&buf[..]).is_err());
+    }
+
+    /// Reads `bytes`, requiring either an error or a graph that satisfies
+    /// the CSR invariants; a panic fails with the mutation named. Returns
+    /// whether the read failed on the array check.
+    fn read_is_clean(bytes: &[u8], what: &str) -> bool {
+        let got = std::panic::catch_unwind(|| read_csr_binary(bytes))
+            .unwrap_or_else(|_| panic!("{what}: read_csr_binary panicked"));
+        match got {
+            Err(e) => e.to_string().contains("corrupt CSR arrays"),
+            Ok(g) => {
+                let (rp, ci) = (g.row_ptr(), g.col_idx());
+                assert_eq!(rp.first(), Some(&0), "{what}");
+                assert!(rp.windows(2).all(|w| w[0] <= w[1]), "{what}");
+                assert_eq!(*rp.last().unwrap() as usize, ci.len(), "{what}");
+                assert!(ci.iter().all(|&c| (c as usize) < g.num_nodes()), "{what}");
+                false
+            }
+        }
+    }
+
+    /// Every truncation and every single-byte flip of a valid file yields an
+    /// error or a valid graph, never a panic. The flips reach both array
+    /// checks no other test does: an out-of-range column index and a final
+    /// row pointer that disagrees with the header's edge count.
+    #[test]
+    fn truncations_and_byte_flips_never_panic() {
+        let g = crate::generators::regular::star(5);
+        let mut valid = Vec::new();
+        write_csr_binary(&g, &mut valid).unwrap();
+        let n = g.num_nodes();
+        let last_row_ptr = 24 + 8 * n;
+        let col_start = 24 + 8 * (n + 1);
+        assert_eq!(valid.len(), col_start + 4 * g.num_edges());
+
+        for len in 0..valid.len() {
+            read_is_clean(&valid[..len], &format!("truncated to {len} bytes"));
+        }
+        let mut corrupt_at = Vec::new();
+        for i in 0..valid.len() {
+            let mut bytes = valid.clone();
+            bytes[i] ^= 0xFF;
+            if read_is_clean(&bytes, &format!("byte {i} flipped")) {
+                corrupt_at.push(i);
+            }
+        }
+        assert!(corrupt_at.contains(&last_row_ptr), "edge-count mismatch not reached");
+        assert!(corrupt_at.contains(&col_start), "out-of-range column not reached");
     }
 }

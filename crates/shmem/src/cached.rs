@@ -198,25 +198,6 @@ impl<'a> CachedRegion<'a> {
         }
     }
 
-    /// Targeted invalidation of one `(src_pe, src_row)` across every
-    /// issuing PE's cache *and* its open batch window — the epoch-fence
-    /// hook for live-graph deltas: the mutated row is dropped everywhere
-    /// (a pending coalesced request is retracted so duplicates refetch
-    /// instead of reading the pre-mutation landing buffer) while every
-    /// other resident row stays warm. Returns how many caches held it.
-    pub fn invalidate_row(&mut self, src_pe: usize, src_row: u32) -> usize {
-        let key = CacheKey { pe: src_pe as u16, row: src_row };
-        let mut dropped = 0;
-        for pc in self.pes.iter_mut().flatten() {
-            if pc.cache.invalidate(key) {
-                dropped += 1;
-            }
-            pc.coalescer.retract(key);
-            pc.inflight.remove(&key.pack());
-        }
-        dropped
-    }
-
     /// Cache counters rolled up over all issuing PEs.
     pub fn stats(&self) -> CacheStats {
         let mut acc = CacheStats::default();
@@ -318,48 +299,6 @@ mod tests {
         c.get_nbi(&mut dst, 0, 1, 0).unwrap();
         let s = c.stats();
         assert_eq!((s.misses, s.hits, s.coalesced), (1, 1, 0));
-    }
-
-    #[test]
-    fn invalidate_row_drops_exactly_the_mutated_row() {
-        let mut r = region(2, 4, 2);
-        let mut c = CachedRegion::new(&r, None, cfg_mb(1), 2);
-        let mut dst = vec![0.0f32; 2];
-        c.begin_batch(0);
-        for row in 0..4u32 {
-            c.get_nbi(&mut dst, 0, 1, row).unwrap();
-        }
-        c.quiet(0).unwrap();
-        // Row 2 mutates (an epoch-fence feature update); invalidate it.
-        assert_eq!(c.invalidate_row(1, 2), 1);
-        drop(c);
-        r.put(&[777.0, 888.0], 1, 2);
-        let mut c = CachedRegion::new(&r, None, cfg_mb(1), 2);
-        c.begin_batch(0);
-        c.get_nbi(&mut dst, 0, 1, 2).unwrap();
-        assert_eq!(dst, vec![777.0, 888.0], "refetch must see the new payload");
-    }
-
-    #[test]
-    fn invalidate_row_retracts_an_open_window_entry() {
-        let r = region(2, 4, 2);
-        let mut c = CachedRegion::new(&r, None, cfg_mb(1), 2);
-        let mut dst = vec![0.0f32; 2];
-        c.begin_batch(0);
-        c.get_nbi(&mut dst, 0, 1, 0).unwrap();
-        // Fence lands mid-window: the pending request is retracted, so a
-        // duplicate refetches instead of coalescing onto the stale buffer.
-        c.invalidate_row(1, 0);
-        c.get_nbi(&mut dst, 0, 1, 0).unwrap();
-        assert_eq!(dst, r.row(1, 0));
-        let s = c.stats();
-        assert_eq!(s.coalesced, 0, "retracted keys must not coalesce");
-        assert_eq!(s.misses, 2, "both requests crossed the fabric");
-        // Untouched rows elsewhere stay warm.
-        c.get_nbi(&mut dst, 0, 1, 1).unwrap();
-        c.quiet(0).unwrap();
-        c.get(&mut dst, 0, 1, 1).unwrap();
-        assert_eq!(c.stats().hits, 1);
     }
 
     #[test]

@@ -28,7 +28,8 @@ pub struct PipelineMetrics {
     /// Total warp compute time across all warps.
     pub compute_ns: u64,
     /// Total communication time (remote wire + UVM page access) across all
-    /// warps.
+    /// warps. Each warp's concurrent in-flight spans are unioned first, so
+    /// a nanosecond with several GETs outstanding counts once.
     pub comm_ns: u64,
     /// The part of `comm_ns` that overlapped the owning warp's compute.
     pub hidden_comm_ns: u64,
@@ -93,8 +94,8 @@ pub fn overlap_efficiency(events: &[TraceEvent]) -> f64 {
 
 /// `(compute_ns, comm_ns, hidden_comm_ns, wait_ns)` for a warp trace.
 ///
-/// Hidden time is computed per warp: each communication span is intersected
-/// with the union of that same warp's compute spans, so a GET in flight
+/// Hidden time is computed per warp: the union of that warp's communication
+/// spans is intersected with the union of its compute spans, so a GET in flight
 /// counts as hidden only while *its* warp is doing useful work — exactly
 /// the intra-warp pipelining the kernel is designed around. Compute by
 /// *other* warps deliberately does not count; latency tolerance via
@@ -125,10 +126,10 @@ fn overlap_breakdown(events: &[TraceEvent]) -> (u64, u64, u64, u64) {
     let mut comm_ns = 0u64;
     let mut hidden_ns = 0u64;
     for (compute, comm) in warps.into_values() {
-        let merged = merge_intervals(compute);
-        for (s, e) in comm {
+        let compute = merge_intervals(compute);
+        for (s, e) in merge_intervals(comm) {
             comm_ns += e - s;
-            hidden_ns += covered_len(&merged, s, e);
+            hidden_ns += covered_len(&compute, s, e);
         }
     }
     (compute_ns, comm_ns, hidden_ns, wait_ns)
@@ -230,6 +231,19 @@ mod tests {
         ];
         // Compute union is [0, 80); wire [50, 100) → 30 of 50 hidden.
         assert_eq!(overlap_efficiency(&events), 0.6);
+    }
+
+    #[test]
+    fn concurrent_gets_are_unioned_not_summed() {
+        // Two GETs in flight on one warp, [0, 100) and [50, 150), under
+        // compute [0, 100): the wire is busy for 150 ns, 100 of them hidden.
+        let events = [
+            ev(0, 0, TraceKind::Compute, 0, 100),
+            ev(0, 0, TraceKind::RemoteWire, 0, 100),
+            ev(0, 0, TraceKind::RemoteWire, 50, 150),
+        ];
+        let (_, comm, hidden, _) = overlap_breakdown(&events);
+        assert_eq!((comm, hidden), (150, 100));
     }
 
     #[test]

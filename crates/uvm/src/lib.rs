@@ -77,11 +77,6 @@ impl UvmConfig {
         }
     }
 
-    /// Same, with batched prefetching enabled.
-    pub fn a100_batched(capacity_pages: usize, batch: u32) -> Self {
-        UvmConfig { prefetch_batch: batch.max(1), ..Self::a100(capacity_pages) }
-    }
-
     /// GPU-resident configuration for data that fits in aggregate device
     /// memory: peer-to-peer migration and deeper fault batching. The page
     /// size is scaled to 16 KiB so that the page-to-embedding-table ratio
@@ -201,11 +196,6 @@ impl UvmSpace {
                 .collect(),
             stats: UvmStats { per_gpu: vec![UvmGpuStats::default(); num_gpus] },
         }
-    }
-
-    /// Page number containing byte `addr`.
-    pub fn page_of(&self, addr: u64) -> u64 {
-        addr / self.cfg.page_bytes
     }
 
     /// Page size in bytes.
@@ -400,7 +390,8 @@ mod tests {
         let faults = |batch| {
             let cluster = Cluster::new(ClusterSpec::dgx_a100(1));
             let mut c = cluster;
-            let mut uvm = UvmSpace::new(1, UvmConfig::a100_batched(1024, batch));
+            let cfg = UvmConfig { prefetch_batch: batch, ..UvmConfig::a100(1024) };
+            let mut uvm = UvmSpace::new(1, cfg);
             let mut t = 0;
             for p in 0..64u64 {
                 t = uvm.access(t, 0, p, &mut c.ic).ready_at;
