@@ -102,8 +102,8 @@ pub fn run_reorder(scale: f64, gpus: usize) -> ReorderReport {
             let t_better = better.simulate_aggregation_ns(dim).expect("valid launch");
             ReorderRow {
                 graph: name.to_string(),
-                remote_frac_before: plain.placement.remote_fraction(),
-                remote_frac_after: better.placement.remote_fraction(),
+                remote_frac_before: plain.placement().remote_fraction(),
+                remote_frac_after: better.placement().remote_fraction(),
                 ms_before: t_plain as f64 / 1e6,
                 ms_after: t_better as f64 / 1e6,
                 speedup: t_plain as f64 / t_better.max(1) as f64,

@@ -138,7 +138,8 @@ fn sweep_setting(name: String, spec: ClusterSpec, dim: usize, scale: f64) -> Fig
     }
 }
 
-/// Runs all three settings.
+/// Runs all four settings, one job each on the worker pool, merged in
+/// setting order.
 ///
 /// The swept aggregation dimension is the GCN hidden size (16): GCN
 /// layers aggregate at the narrow side of the weight multiply, so this is
@@ -146,19 +147,18 @@ fn sweep_setting(name: String, spec: ClusterSpec, dim: usize, scale: f64) -> Fig
 /// the knobs matter (per-request overheads, not wire bytes, dominate).
 pub fn run(scale: f64) -> Fig10Report {
     let dim = 16usize;
-    let settings = vec![
-        sweep_setting("I: RDD GCN on 4xA100".into(), ClusterSpec::dgx_a100(4), dim, scale),
-        sweep_setting("II: RDD GCN on 8xA100".into(), ClusterSpec::dgx_a100(8), dim, scale),
-        sweep_setting("III: RDD GCN on 4xV100".into(), ClusterSpec::dgx1_v100(4), dim, scale),
+    let settings = [
+        ("I: RDD GCN on 4xA100", ClusterSpec::dgx_a100(4)),
+        ("II: RDD GCN on 8xA100", ClusterSpec::dgx_a100(8)),
+        ("III: RDD GCN on 4xV100", ClusterSpec::dgx1_v100(4)),
         // Beyond the paper: the full DGX-1V, whose hybrid cube-mesh makes
         // some peers two hops away — another knob-shifting platform.
-        sweep_setting(
-            "IV: RDD GCN on 8xV100 (cube mesh)".into(),
-            ClusterSpec::dgx1_v100(8),
-            dim,
-            scale,
-        ),
+        ("IV: RDD GCN on 8xV100 (cube mesh)", ClusterSpec::dgx1_v100(8)),
     ];
+    let _lbl = mgg_runtime::profile::region_label("bench.fig10");
+    let settings = mgg_runtime::par_map(&settings, |(name, spec)| {
+        sweep_setting(name.to_string(), spec.clone(), dim, scale)
+    });
     Fig10Report { settings }
 }
 

@@ -150,14 +150,18 @@ enum Weights<'a> {
 /// into fewer (or one) jobs instead of paying the fan-out.
 const MIN_AGG_ROWS_PER_JOB: usize = 64;
 
+/// What a memoized launch is keyed on besides the engine's state: the
+/// tuning knobs, the embedding width and the kernel shape.
+type LaunchKey = (MggConfig, usize, KernelVariant, MappingMode);
+
 /// The MGG multi-GPU aggregation engine.
 pub struct MggEngine {
     /// The simulated multi-GPU platform the engine launches on.
     pub cluster: Cluster,
     /// Hybrid data placement: symmetric-heap embeddings + private topology.
-    pub placement: HybridPlacement,
+    placement: HybridPlacement,
     /// Per-GPU decomposed workloads (LNP/RNP lists).
-    pub plans: Vec<WorkPlan>,
+    plans: Vec<WorkPlan>,
     config: MggConfig,
     /// Which kernel pipeline to lower (async Figure-7(b) or sync 7(a)).
     pub variant: KernelVariant,
@@ -202,6 +206,12 @@ pub struct MggEngine {
     /// Telemetry sink for engine phases and counters (disabled by default,
     /// in which case every recording call is a no-op).
     telemetry: Telemetry,
+    /// Launch memo: the statistics of launches already simulated on the
+    /// current state (see [`MggEngine::simulate_aggregation`]). An engine
+    /// sees a handful of distinct keys, so a linear scan is enough.
+    memo: Vec<(LaunchKey, KernelStats)>,
+    /// The cluster spec the memo's entries were simulated under.
+    memo_spec: ClusterSpec,
 }
 
 impl MggEngine {
@@ -286,6 +296,8 @@ impl MggEngine {
             _ => Vec::new(),
         };
         Ok(MggEngine {
+            memo: Vec::new(),
+            memo_spec: spec.clone(),
             cluster: Cluster::new(spec),
             placement,
             plans,
@@ -313,6 +325,12 @@ impl MggEngine {
         self.config
     }
 
+    /// The hybrid data placement in effect (it changes on recovery,
+    /// checkpoint restore and graph deltas).
+    pub fn placement(&self) -> &HybridPlacement {
+        &self.placement
+    }
+
     /// Replaces the configuration, rebuilding work plans when `ps` changed.
     pub fn set_config(&mut self, config: MggConfig) -> Result<(), MggError> {
         config.validate().map_err(MggError::InvalidConfig)?;
@@ -337,6 +355,7 @@ impl MggEngine {
         self.cache_cfg = cfg;
         self.caches = Vec::new();
         self.cache_dim = 0;
+        self.invalidate_memo();
     }
 
     /// Drops all cached rows (counters survive). This is the invalidation
@@ -387,9 +406,7 @@ impl MggEngine {
     pub fn install_faults(&mut self, spec: FaultSpec) -> Result<(), MggError> {
         spec.validate().map_err(MggError::InvalidFaultSpec)?;
         let sched = FaultSchedule::derive(&spec, self.cluster.num_gpus());
-        self.cluster.install_faults(sched);
-        self.replanned = false;
-        self.flush_cache();
+        self.install_fault_schedule(sched);
         Ok(())
     }
 
@@ -398,6 +415,7 @@ impl MggEngine {
         self.cluster.install_faults(sched);
         self.replanned = false;
         self.flush_cache();
+        self.invalidate_memo();
     }
 
     /// Removes any installed fault scenario.
@@ -405,6 +423,7 @@ impl MggEngine {
         self.cluster.clear_faults();
         self.replanned = false;
         self.flush_cache();
+        self.invalidate_memo();
     }
 
     /// The installed fault schedule, if any.
@@ -452,6 +471,7 @@ impl MggEngine {
         // cache rows are suspect from here on. (Re-planning flushes again,
         // but the reroute-only rung would otherwise keep stale rows.)
         self.flush_cache();
+        self.invalidate_memo();
         let num_gpus = self.cluster.num_gpus();
         let Some(sched) = self.cluster.faults().cloned() else {
             let view = HealthMonitor::with_defaults(num_gpus)
@@ -565,6 +585,7 @@ impl MggEngine {
         self.plans = build_plans(&self.placement, self.config.ps);
         // The restored split re-maps (PE, row) addresses.
         self.flush_cache();
+        self.invalidate_memo();
         self.checkpoint_restores += 1;
         // Reloading the features from host storage costs one host-link
         // transfer of the checkpoint payload.
@@ -629,6 +650,7 @@ impl MggEngine {
         if self.mode == AggregateMode::GcnNorm {
             self.norm = self.graph.gcn_norm();
         }
+        self.invalidate_memo();
         self.telemetry.counter_add("churn.deltas_applied", deltas.len() as u64);
         self.telemetry.counter_add("churn.rows_invalidated", invalidated as u64);
         Ok(DeltaReport {
@@ -657,6 +679,22 @@ impl MggEngine {
     /// Simulates one aggregation pass at embedding dimension `dim` and
     /// returns the kernel statistics. Channels are reset first, so calls
     /// are independent measurements.
+    ///
+    /// Because they are, a launch the engine has already simulated on
+    /// unchanged state is served from a launch memo: the statistics
+    /// computed then are returned (and left in `last_stats`, with
+    /// `last_trace` cleared, as an untraced run leaves them) without
+    /// running the simulator again. The memo is keyed on the
+    /// configuration, `dim`, [`MggEngine::variant`] and
+    /// [`MggEngine::mapping`], and serves and stores only untraced calls
+    /// with telemetry disabled, no cache configured, no fault scenario
+    /// installed, the interconnect not in UVM-degraded mode and no
+    /// checkpoint restore pending; every other call simulates. It is
+    /// emptied by [`MggEngine::set_cache`], fault installation and
+    /// removal, [`MggEngine::recover`], [`MggEngine::resume`],
+    /// [`MggEngine::apply_graph_deltas`] and every health-driven
+    /// re-plan, and when `cluster.spec` no longer equals the spec its
+    /// entries were simulated under.
     ///
     /// Under an installed fault scenario with impaired GPUs, the first
     /// call additionally performs graceful degradation: the run that
@@ -690,6 +728,27 @@ impl MggEngine {
         // pipeline metrics need it, and tracing never changes the
         // simulation outcome (the sim crate's tests pin that equivalence).
         let want_trace = want_trace || tel.is_enabled();
+        // Only here is a launch a pure function of its key and the state
+        // the invalidation points guard: nothing is recorded, no cache
+        // residency carries over, and no fault or one-shot restore charge
+        // enters the run.
+        let key = (self.config, dim, self.variant, self.mapping);
+        let memoizable = !want_trace
+            && self.cache_cfg.is_none()
+            && self.cluster.faults().is_none()
+            && !self.cluster.ic.uvm_degraded()
+            && self.checkpoint_restores == 0;
+        if memoizable {
+            if self.memo_spec != self.cluster.spec {
+                self.invalidate_memo();
+                self.memo_spec = self.cluster.spec.clone();
+            }
+            if let Some((_, stats)) = self.memo.iter().find(|(k, _)| *k == key) {
+                self.last_stats = Some(stats.clone());
+                self.last_trace = None;
+                return Ok((stats.clone(), None));
+            }
+        }
         let (mut stats, mut trace) = self.run_kernel(dim, want_trace)?;
         let action = self.recovery_action();
         let permanent = self.cluster.faults().is_some_and(FaultSchedule::has_permanent);
@@ -760,6 +819,9 @@ impl MggEngine {
             let events = trace.as_deref().unwrap_or(&[]);
             tel.add_trace_events(events);
             tel.set_pipeline(PipelineMetrics::derive(&stats, events));
+        }
+        if memoizable {
+            self.memo.push((key, stats.clone()));
         }
         self.last_stats = Some(stats.clone());
         self.last_trace = trace.clone();
@@ -834,6 +896,14 @@ impl MggEngine {
         // Re-splitting re-maps every (PE, row) address: resident cache
         // entries now name the wrong rows. Invalidate.
         self.flush_cache();
+        self.invalidate_memo();
+    }
+
+    /// Forgets every memoized launch. Called by each method that changes
+    /// what a launch reads besides its [`LaunchKey`] and the cluster spec
+    /// (which the memo checks by itself).
+    fn invalidate_memo(&mut self) {
+        self.memo.clear();
     }
 
     /// Simulated end-to-end duration of one aggregation (kernel makespan
@@ -1247,7 +1317,9 @@ mod tests {
 
     #[test]
     fn repeated_simulation_is_stable() {
-        // Channel state must be reset between measurements.
+        // Channel state must be reset between measurements. A traced call
+        // bypasses the launch memo, so the second run really re-simulates
+        // on the channels the first one used.
         let g = graph();
         let mut e = MggEngine::new(
             &g,
@@ -1255,8 +1327,8 @@ mod tests {
             MggConfig::default_fixed(),
             AggregateMode::Sum,
         );
-        let a = e.simulate_aggregation_ns(64).unwrap();
-        let b = e.simulate_aggregation_ns(64).unwrap();
+        let a = e.simulate_aggregation(64).unwrap();
+        let (b, _) = e.simulate_aggregation_traced(64).unwrap();
         assert_eq!(a, b);
     }
 
@@ -1949,6 +2021,165 @@ mod tests {
             e.recover(32).unwrap();
         });
         assert!(after_recover >= cold_misses, "recover must flush even reroute-only");
+    }
+
+    /// One launch drawn by the memo property test. The space is small
+    /// (12 launches) so random sequences repeat often.
+    fn launch_shape(
+        (cfg, dim, shape): (usize, usize, u8),
+    ) -> (MggConfig, usize, KernelVariant, MappingMode) {
+        let cfgs =
+            [MggConfig::initial(), MggConfig::default_fixed(), MggConfig { ps: 4, dist: 2, wpb: 2 }];
+        let (variant, mapping) = match shape {
+            0 => (KernelVariant::AsyncPipelined, MappingMode::Interleaved),
+            1 => (KernelVariant::SyncRemote, MappingMode::Interleaved),
+            _ => (KernelVariant::AsyncPipelined, MappingMode::Separated),
+        };
+        (cfgs[cfg], [16, 64][dim], variant, mapping)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(8))]
+
+        /// Memo on equals memo off: every launch of a random sequence with
+        /// repeats, run on one engine, equals the same launch on an engine
+        /// that never launched, and repeats are served, not re-simulated.
+        #[test]
+        fn memoized_launches_match_fresh_engines(
+            launches in proptest::collection::vec((0usize..3, 0usize..2, 0u8..3), 2..14)
+        ) {
+            let g = rmat(&RmatConfig::graph500(8, 2_000, 29));
+            let spec = ClusterSpec::dgx_a100(4);
+            let mk = |cfg| MggEngine::new(&g, spec.clone(), cfg, AggregateMode::Sum);
+            let mut e = mk(MggConfig::initial());
+            let mut keys = Vec::new();
+            for &l in &launches {
+                let (cfg, dim, variant, mapping) = launch_shape(l);
+                e.set_config(cfg).unwrap();
+                (e.variant, e.mapping) = (variant, mapping);
+                let got = e.simulate_aggregation(dim).unwrap();
+                let mut fresh = mk(cfg);
+                (fresh.variant, fresh.mapping) = (variant, mapping);
+                let want = fresh.simulate_aggregation(dim).unwrap();
+                assert_eq!(got, want, "launch {l:?}");
+                assert_eq!(e.last_stats, fresh.last_stats, "last_stats after {l:?}");
+                assert!(e.last_trace.is_none());
+                if !keys.contains(&(cfg, dim, variant, mapping)) {
+                    keys.push((cfg, dim, variant, mapping));
+                }
+                assert_eq!(e.memo.len(), keys.len(), "one entry per distinct launch");
+            }
+        }
+    }
+
+    #[test]
+    fn telemetry_bypasses_the_memo() {
+        let g = graph();
+        let tel = Telemetry::enabled();
+        let mut e = MggEngine::try_new_with_telemetry(
+            &g,
+            ClusterSpec::dgx_a100(4),
+            MggConfig::default_fixed(),
+            AggregateMode::Sum,
+            tel.clone(),
+        )
+        .unwrap();
+        let counters = || {
+            let snap = tel.snapshot();
+            snap.counters.into_iter().map(|c| (c.name, c.value)).collect::<Vec<_>>()
+        };
+        let first = e.simulate_aggregation(64).unwrap();
+        let (after_first, events_first) = (counters(), tel.trace_events().len());
+        let second = e.simulate_aggregation(64).unwrap();
+        assert_eq!(first, second);
+        // The second identical call records exactly what the first did.
+        let doubled: Vec<_> = after_first.iter().map(|(n, v)| (n.clone(), 2 * v)).collect();
+        assert!(after_first.iter().any(|(n, v)| n == "engine.kernels" && *v == 1));
+        assert_eq!(counters(), doubled);
+        assert_eq!(tel.trace_events().len(), 2 * events_first);
+        assert!(e.memo.is_empty());
+    }
+
+    /// Runs `op` on an engine that has memoized a launch and on a fresh
+    /// engine, then checks the next two launches agree (two, so one-shot
+    /// charges such as a checkpoint restore are followed by a plain
+    /// launch). The fresh engine's launches are traced, which bypasses
+    /// the memo, so they are memo-off by construction. Returns whether
+    /// `op` changed the launch at all.
+    fn assert_memo_follows(what: &str, op: impl Fn(&mut MggEngine)) -> bool {
+        const DIM: usize = 32;
+        let g = graph();
+        let mk = || {
+            MggEngine::new(&g, ClusterSpec::dgx_a100(4), MggConfig::default_fixed(), AggregateMode::Sum)
+        };
+        let mut warm = mk();
+        let before = warm.simulate_aggregation(DIM).unwrap();
+        assert_eq!(warm.memo.len(), 1);
+        op(&mut warm);
+        let mut fresh = mk();
+        op(&mut fresh);
+        let mut changed = false;
+        for call in 0..2 {
+            let (want, _) = fresh.simulate_aggregation_traced(DIM).unwrap();
+            let got = warm.simulate_aggregation(DIM).unwrap();
+            assert_eq!(got, want, "{what}: launch {call} after it");
+            assert_eq!(warm.last_stats, fresh.last_stats, "{what}: last_stats");
+            changed |= want != before;
+        }
+        changed
+    }
+
+    #[test]
+    fn every_state_change_invalidates_the_memo() {
+        let n = graph().num_nodes() as u32;
+        let changed = assert_memo_follows("apply_graph_deltas", |e| {
+            let deltas: Vec<GraphDelta> = (0..40)
+                .map(|i| GraphDelta::EdgeInsert { src: i, dst: n - 1 - 3 * i })
+                .chain([GraphDelta::NodeInsert { neighbors: (0..64).collect() }])
+                .collect();
+            e.apply_graph_deltas(&deltas).unwrap();
+        });
+        assert!(changed, "the deltas must change the launch");
+        let changed = assert_memo_follows("resume", |e| {
+            let bounds = NodeSplit::uniform(n as usize, 4).bounds().to_vec();
+            e.resume(&Checkpoint::new(1, 1, bounds, vec![0.0; n as usize])).unwrap();
+        });
+        assert!(changed, "the restored split must change the launch");
+        let changed = assert_memo_follows("install_faults + recover", |e| {
+            e.install_faults(mgg_fault::FaultSpec { seed: 42, link_degrade: 0.5, ..Default::default() })
+                .unwrap();
+            e.recover(32).unwrap();
+        });
+        assert!(changed, "the degraded links must change the launch");
+        let changed = assert_memo_follows("clear_faults", |e| {
+            e.install_faults(mgg_fault::FaultSpec { seed: 42, link_degrade: 0.5, ..Default::default() })
+                .unwrap();
+            e.simulate_aggregation(32).unwrap();
+            e.clear_faults();
+        });
+        assert!(changed, "the health-weighted re-plan must outlive the faults");
+        let changed = assert_memo_follows("set_cache(Some)", |e| {
+            e.set_cache(Some(CacheConfig::from_mb(64)));
+        });
+        assert!(changed, "the cache must change the launch");
+        assert_memo_follows("set_cache(Some) then set_cache(None)", |e| {
+            e.set_cache(Some(CacheConfig::from_mb(64)));
+            e.simulate_aggregation(32).unwrap();
+            e.set_cache(None);
+        });
+        let changed = assert_memo_follows("cluster.spec write", |e| {
+            e.cluster.spec.gpu.warp_slots_per_sm = 8;
+        });
+        assert!(changed, "fewer warp slots must change the launch");
+        let changed = assert_memo_follows("cluster.install_faults", |e| {
+            let spec = mgg_fault::FaultSpec { seed: 42, link_degrade: 0.5, ..Default::default() };
+            e.cluster.install_faults(FaultSchedule::derive(&spec, 4));
+        });
+        assert!(changed, "faults installed on the cluster must change the launch");
+        let changed = assert_memo_follows("cluster.ic.set_uvm_degraded", |e| {
+            e.cluster.ic.set_uvm_degraded(true);
+        });
+        assert!(changed, "host-staged transfers must change the launch");
     }
 }
 

@@ -1,7 +1,7 @@
 //! Deterministic parallel execution runtime for the MGG host stack.
 //!
 //! Every parallel surface in this workspace (bench sweep cells, functional
-//! aggregation, chaos seed matrices, speculative tuner probes) runs through
+//! aggregation, chaos seed matrices) runs through
 //! this crate so there is exactly one place where the determinism contract
 //! is enforced:
 //!

@@ -400,8 +400,8 @@ impl Server {
         assert!(cfg.queue_cap > 0, "queue_cap must be positive");
         let launch_ns = engine.cluster.spec.kernel_launch_ns;
         let full_ns = engine.simulate_aggregation_ns(dim)?;
-        let bounds: Vec<u32> = engine.placement.split.bounds().to_vec();
-        let num_shards = engine.placement.split.num_parts();
+        let bounds: Vec<u32> = engine.placement().split.bounds().to_vec();
+        let num_shards = engine.placement().split.num_parts();
         let num_nodes = *bounds.last().expect("non-empty split") as usize;
         let per_node_cluster = (full_ns.saturating_sub(launch_ns)) as f64 / num_nodes.max(1) as f64;
         let per_query_ns = (per_node_cluster * num_shards as f64).max(1.0);

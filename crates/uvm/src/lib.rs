@@ -117,7 +117,7 @@ pub struct UvmGpuStats {
 }
 
 /// Aggregate UVM statistics.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct UvmStats {
     /// Per-GPU fault/migration counters, indexed by PE.
     pub per_gpu: Vec<UvmGpuStats>,

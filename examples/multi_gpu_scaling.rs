@@ -46,7 +46,7 @@ fn main() {
                 t_mgg as f64 / 1e6,
                 t_uvm as f64 / 1e6,
                 t_uvm as f64 / t_mgg as f64,
-                100.0 * mgg.placement.remote_fraction(),
+                100.0 * mgg.placement().remote_fraction(),
             );
         }
         println!();

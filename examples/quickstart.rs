@@ -35,7 +35,7 @@ fn main() {
     );
     println!(
         "placement: {:.1}% of edges need remote access after the edge-balanced split",
-        100.0 * engine.placement.remote_fraction()
+        100.0 * engine.placement().remote_fraction()
     );
 
     // 4. Functional output + simulated timing.

@@ -147,7 +147,7 @@ fn chaos_check(spec: &FaultSpec) -> Option<RecoveryStats> {
                 );
                 for &dead in &sched.dead_gpus() {
                     assert_eq!(
-                        chaotic.placement.split.part_nodes(dead),
+                        chaotic.placement().split.part_nodes(dead),
                         0,
                         "dead GPU {dead} still owns nodes under {spec:?}"
                     );
